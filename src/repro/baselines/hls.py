@@ -34,7 +34,8 @@ from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import (ColumnarTrace, SyntheticInstruction,
+                                  SyntheticTrace)
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 
@@ -258,4 +259,5 @@ def run_hls_simulation(trace: Trace, config: MachineConfig,
     profile = hls_profile(trace, config)
     synthetic = generate_hls_trace(profile, length=synthetic_length,
                                    seed=seed)
-    return simulate_synthetic_trace(synthetic, config)
+    return simulate_synthetic_trace(ColumnarTrace.from_synthetic(synthetic),
+                                    config)

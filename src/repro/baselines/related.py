@@ -34,7 +34,8 @@ from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import (ColumnarTrace, SyntheticInstruction,
+                                  SyntheticTrace)
 from repro.cpu.results import SimulationResult
 from repro.power.wattch import PowerBreakdown
 
@@ -291,5 +292,6 @@ def run_model(model, config: MachineConfig, length: int, seed: int = 0
     """Generate a trace from *model* and simulate it."""
     from repro.core.framework import simulate_synthetic_trace
 
-    return simulate_synthetic_trace(model.generate(length, seed=seed),
-                                    config)
+    return simulate_synthetic_trace(
+        ColumnarTrace.from_synthetic(model.generate(length, seed=seed)),
+        config)

@@ -18,12 +18,14 @@ carries a draw-stability cross-check: the optimized generator must
 produce byte-identical traces to the legacy one, seed for seed.
 
 Schema 2 adds the **vector** phase: end-to-end synthesize+simulate
-through the columnar batch kernels (:mod:`repro.core.columnar` and the
-pipeline's :class:`~repro.cpu.source.ColumnarSource` fast path) against
-the scalar object path, plus a synthesis-only columnar measurement.
-The columnar generator draws from a different — statistically
-equivalent — RNG stream, so instead of byte-stability the phase records
-both paths' IPC and their relative error (see docs/performance.md).
+with the vector generator's batch draws (:mod:`repro.core.columnar`)
+into the columnar loop, against the same frozen object path the other
+phases use as "before" (the legacy generator's instructions replayed
+by the reference pipeline), plus a synthesis-only measurement against
+the legacy generator.  The columnar generator draws from a different —
+statistically equivalent — RNG stream, so instead of byte-stability
+the phase records the vector and scalar paths' IPC and their relative
+error (see docs/performance.md).
 
 ``check_regression`` compares a payload against a committed baseline
 (``benchmarks/perf/BASELINE_hotpath.json``) and reports phases whose
@@ -47,7 +49,7 @@ from repro.core.profiler import profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.synthesis import generate_synthetic_trace, prepare_recipes
 from repro.cpu.pipeline import SuperscalarPipeline
-from repro.cpu.source import PreannotatedSource
+from repro.cpu.source import ColumnarSource, PreannotatedSource
 from repro.bench.legacy import (
     ReferencePipeline,
     legacy_generate_synthetic_trace,
@@ -165,9 +167,9 @@ def run_hotpath_bench(
                                         reduced=reduced)
         old0 = legacy_generate_synthetic_trace(profile, r, seed=0,
                                                reduced=reduced)
-        stable = _trace_key(new0) == _trace_key(old0)
-        units = len(new0.instructions) * seeds
-        log(f"synthesis R={r}: {len(new0.instructions)} instructions "
+        stable = _trace_key(new0.to_synthetic_trace()) == _trace_key(old0)
+        units = len(new0) * seeds
+        log(f"synthesis R={r}: {len(new0)} instructions "
             f"x{seeds} seeds ({label})")
 
         def run_new() -> None:
@@ -194,10 +196,13 @@ def run_hotpath_bench(
     synthesis_low_r = synth_case(low_r, low_r_seeds, "long-trace regime")
 
     # ---- phase 3: superscalar simulation ------------------------------
+    # After: the shipped synthetic path (ColumnarSource into the
+    # columnar loop); before: the frozen reference loop replaying the
+    # same instructions as fetch slots.
     synthetic = generate_synthetic_trace(profile, low_r, seed=0)
-    slots = list(synthetic.to_fetch_slots(config))
+    slots = synthetic.to_synthetic_trace().to_fetch_slots(config)
     new_result = SuperscalarPipeline(
-        config, PreannotatedSource(list(slots))).run()
+        config, ColumnarSource(synthetic, config)).run()
     old_result = ReferencePipeline(
         config, PreannotatedSource(list(slots))).run()
     cycles_identical = (new_result.cycles == old_result.cycles
@@ -205,9 +210,9 @@ def run_hotpath_bench(
     log(f"pipeline: {len(slots)} slots / {new_result.cycles} cycles "
         f"x{pipeline_reps} (before/after)")
     # Construct each source once and rewind it per repeat: the timed
-    # region measures the pipeline, not a fresh list(slots) copy plus
-    # source construction on every iteration.
-    new_source = PreannotatedSource(list(slots))
+    # region measures the pipeline, not source construction on every
+    # iteration.
+    new_source = ColumnarSource(synthetic, config)
     old_source = PreannotatedSource(list(slots))
 
     def run_new_pipeline() -> None:
@@ -227,13 +232,14 @@ def run_hotpath_bench(
     pipeline_phase["results_identical"] = cycles_identical
 
     # ---- phase 4: columnar batch execution (schema 2) -----------------
-    # End-to-end synthesize+simulate, scalar objects vs columnar batch
-    # kernels.  Not a before/after of the same draws — the columnar
-    # generator uses a different (statistically equivalent) RNG stream —
-    # so the phase also records both paths' IPC for an agreement check.
+    # End-to-end synthesize+simulate: the frozen object path (legacy
+    # generator, reference pipeline on fetch slots) vs the columnar
+    # batch kernels into the columnar loop.  Not a before/after of the
+    # same draws — the columnar generator uses a different
+    # (statistically equivalent) RNG stream — so the phase also records
+    # the scalar and vector IPC for an agreement check.
     from repro.core.columnar import generate_columnar_trace
-    from repro.core.framework import (simulate_columnar_trace,
-                                      simulate_synthetic_trace)
+    from repro.core.framework import simulate_synthetic_trace
 
     vector_r = low_r
     reduced = reduce_flow_graph(profile.sfg, vector_r)
@@ -242,24 +248,25 @@ def run_hotpath_bench(
     columnar_trace = generate_columnar_trace(profile, vector_r, seed=0,
                                              reduced=reduced)
     scalar_result, _ = simulate_synthetic_trace(scalar_trace, config)
-    vector_result, _ = simulate_columnar_trace(columnar_trace, config)
+    vector_result, _ = simulate_synthetic_trace(columnar_trace, config)
     log(f"vector: {len(columnar_trace.iclass)} instructions "
-        f"x{pipeline_reps} (scalar/columnar end-to-end)")
+        f"x{pipeline_reps} (legacy objects/columnar end-to-end)")
 
-    def run_scalar_e2e() -> None:
-        trace = generate_synthetic_trace(profile, vector_r, seed=0,
-                                         reduced=reduced)
-        simulate_synthetic_trace(trace, config)
+    def run_legacy_e2e() -> None:
+        trace = legacy_generate_synthetic_trace(profile, vector_r, seed=0,
+                                                reduced=reduced)
+        ReferencePipeline(
+            config, PreannotatedSource(trace.to_fetch_slots(config))).run()
 
     def run_vector_e2e() -> None:
         trace = generate_columnar_trace(profile, vector_r, seed=0,
                                         reduced=reduced)
-        simulate_columnar_trace(trace, config)
+        simulate_synthetic_trace(trace, config)
 
     vector_phase = _phase_payload("instruction",
                                   len(columnar_trace.iclass),
                                   pipeline_reps,
-                                  _time(run_scalar_e2e, pipeline_reps),
+                                  _time(run_legacy_e2e, pipeline_reps),
                                   _time(run_vector_e2e, pipeline_reps))
     vector_phase["reduction_factor"] = vector_r
     vector_phase["ipc_scalar"] = scalar_result.ipc
@@ -268,15 +275,15 @@ def run_hotpath_bench(
         abs(vector_result.ipc - scalar_result.ipc) / scalar_result.ipc
         if scalar_result.ipc else 0.0)
 
-    # Synthesis-only columnar speedup in the long-trace regime — the
-    # pipeline loop dominates end-to-end, so this isolates the batch
-    # kernel's win.  (At R=1000's tens-of-instruction traces the
-    # per-call numpy overhead eats the batch win; that regime stays on
-    # the scalar generator.)
-    def run_scalar_synth() -> None:
+    # Synthesis-only columnar speedup over the legacy generator in the
+    # long-trace regime — the pipeline loop dominates end-to-end, so
+    # this isolates the batch kernel's win.  (At R=1000's
+    # tens-of-instruction traces the per-call numpy overhead eats the
+    # batch win; that regime stays on the scalar generator.)
+    def run_legacy_synth() -> None:
         for seed in range(low_r_seeds):
-            generate_synthetic_trace(profile, vector_r, seed=seed,
-                                     reduced=reduced)
+            legacy_generate_synthetic_trace(profile, vector_r, seed=seed,
+                                            reduced=reduced)
 
     def run_vector_synth() -> None:
         for seed in range(low_r_seeds):
@@ -286,7 +293,7 @@ def run_hotpath_bench(
     vector_synth_phase = _phase_payload(
         "instruction", len(columnar_trace.iclass) * low_r_seeds,
         synth_reps,
-        _time(run_scalar_synth, synth_reps),
+        _time(run_legacy_synth, synth_reps),
         _time(run_vector_synth, synth_reps))
     vector_synth_phase["reduction_factor"] = vector_r
     vector_synth_phase["seeds"] = low_r_seeds

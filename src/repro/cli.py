@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -235,9 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--benchmark", default="twolf",
                      help="workload to profile and sweep (default: "
                           "twolf)")
-    dse.add_argument("-j", "--jobs", type=_positive_int, default=1,
+    dse.add_argument("-j", "--jobs", type=_positive_int, default=None,
                      help="worker processes for the sweep (default: 1 "
-                          "= serial in-process)")
+                          "= serial in-process; with --bench, the "
+                          "parallel leg defaults to the CPU count, at "
+                          "least 2)")
     dse.add_argument(
         "--cache-dir", default=None,
         help="content-addressed result cache: evaluations are stored "
@@ -639,17 +642,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.core.synthesis import generate_synthetic_trace
 
     profile = load_profile(args.profile)
-    columnar = None
     if args.vector:
-        from repro.core.columnar import generate_columnar_trace
-
-        columnar = generate_columnar_trace(
-            profile, args.reduction_factor, seed=args.seed)
-        summary = columnar.summary()
+        from repro.core.columnar import generate_columnar_trace as generate
     else:
-        synthetic = generate_synthetic_trace(
-            profile, args.reduction_factor, seed=args.seed)
-        summary = synthetic.summary()
+        generate = generate_synthetic_trace
+    synthetic = generate(profile, args.reduction_factor, seed=args.seed)
+    summary = synthetic.summary()
     mode = " [vector]" if args.vector else ""
     print(f"synthetic trace: {summary['instructions']:,} instructions "
           f"(R = {args.reduction_factor:g}){mode}")
@@ -657,16 +655,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                 "dl1_miss_rate", "misprediction_rate"):
         print(f"  {key}: {summary[key]:.4f}")
     if args.simulate:
-        if columnar is not None:
-            from repro.core.framework import simulate_columnar_trace
+        from repro.core.framework import simulate_synthetic_trace
 
-            result, power = simulate_columnar_trace(columnar,
-                                                    profile.config)
-        else:
-            from repro.core.framework import simulate_synthetic_trace
-
-            result, power = simulate_synthetic_trace(synthetic,
-                                                     profile.config)
+        result, power = simulate_synthetic_trace(synthetic, profile.config)
         print(f"  simulated: IPC {result.ipc:.3f}  "
               f"EPC {power.total:.1f} W")
     return 0
@@ -818,8 +809,12 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     log = obs.info
 
     if args.bench:
+        # Without -j the parallel leg would otherwise time serial
+        # against serial; time it at the machine's width instead.
+        jobs = (args.jobs if args.jobs is not None
+                else max(2, os.cpu_count() or 1))
         payload = run_dse_bench(spec, args.benchmark, scale,
-                                jobs=args.jobs,
+                                jobs=jobs,
                                 cache_root=args.cache_dir,
                                 seeds=seeds, log=log)
         write_bench(payload, args.bench)
@@ -845,7 +840,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         return 2
     study_kwargs["health"] = health
     study = run_study(
-        spec, args.benchmark, scale, jobs=args.jobs,
+        spec, args.benchmark, scale, jobs=args.jobs or 1,
         cache_dir=args.cache_dir,
         policy=RunnerPolicy(timeout=args.timeout,
                             max_retries=args.retries),
@@ -1041,7 +1036,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     profile = load_profile(args.profile)
     synthetic = generate_synthetic_trace(
         profile, args.reduction_factor, seed=args.seed)
-    report = drift_report(profile, synthetic, threshold=args.threshold)
+    report = drift_report(profile, synthetic.to_synthetic_trace(),
+                          threshold=args.threshold)
     print(f"{profile.name}: profile expectation vs synthetic trace "
           f"(R = {args.reduction_factor:g}, seed {args.seed})")
     print(format_drift_report(report))

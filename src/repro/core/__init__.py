@@ -10,7 +10,7 @@ Pipeline (paper Figure 1):
 2. :mod:`repro.core.reduction` divides node occurrences by the synthetic
    trace reduction factor R.
 3. :mod:`repro.core.synthesis` random-walks the reduced graph to emit a
-   :class:`SyntheticTrace` (the nine-step algorithm of section 2.2).
+   :class:`ColumnarTrace` (the nine-step algorithm of section 2.2).
 4. :mod:`repro.core.framework` simulates the synthetic trace on the
    shared out-of-order pipeline and reports IPC / EPC / EDP.
 """
@@ -19,7 +19,11 @@ from repro.core.sfg import ContextStats, StatisticalFlowGraph
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.reduction import ReducedFlowGraph, reduce_flow_graph
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import (
+    ColumnarTrace,
+    SyntheticInstruction,
+    SyntheticTrace,
+)
 from repro.core.framework import (
     StatisticalSimulationReport,
     run_execution_driven,
@@ -53,6 +57,7 @@ __all__ = [
     "ReducedFlowGraph",
     "reduce_flow_graph",
     "generate_synthetic_trace",
+    "ColumnarTrace",
     "SyntheticInstruction",
     "SyntheticTrace",
     "StatisticalSimulationReport",

@@ -1,12 +1,13 @@
 """Columnar batch synthesis: the nine-step algorithm, vectorized.
 
-The scalar generator (:mod:`repro.core.synthesis`) emits one
-``SyntheticInstruction`` object per instruction and consumes one uniform
-per decision.  That object model caps throughput at Python interpreter
-speed, so this module provides the batch twin: the random walk over the
-reduced SFG stays scalar (it is inherently sequential and cheap — one
-node per *basic block*), but everything per *instruction* is emitted in
-whole-trace numpy columns:
+The scalar generator (:mod:`repro.core.synthesis`) consumes one uniform
+per decision, in instruction order, from compiled per-context emitters.
+This module is its batch twin: the random walk over the reduced SFG
+stays scalar (it is inherently sequential and cheap — one node per
+*basic block*), but everything per *instruction* is drawn in
+whole-trace numpy columns.  Both generators return the same
+:class:`~repro.core.synthetic.ColumnarTrace` format, so they differ
+only in their draw stream:
 
 * per-context slot statistics are compiled once per SFG into flat
   per-slot arrays (:class:`ColumnarTables`) — event probabilities,
@@ -54,16 +55,13 @@ from repro.isa.iclass import (
     IClass,
     PRODUCING_CLASSES,
 )
-from repro.branch.unit import BranchOutcome
 from repro.core.profiler import StatisticalProfile
 from repro.core.reduction import ReducedFlowGraph, reduce_flow_graph
 from repro.core.sampling import FenwickSampler
 from repro.core.sfg import Context, StatisticalFlowGraph
 from repro.core.synthesis import MAX_DEPENDENCY_RETRIES
 from repro.core.synthesis import _HEALTH_EVERY
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
-
-_OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
+from repro.core.synthetic import ColumnarTrace
 
 
 class ColumnarTables:
@@ -295,83 +293,6 @@ def adopt_columnar_tables(sfg: StatisticalFlowGraph,
         per_sfg = {}
         _COLUMNAR_CACHE[sfg] = per_sfg
     per_sfg[tables.include_anti] = tables
-
-
-# -- the columnar trace -------------------------------------------------
-
-
-class ColumnarTrace:
-    """A synthetic trace as parallel numpy columns.
-
-    Dependencies are CSR: instruction ``i`` carries distances
-    ``dep_val[dep_off[i]:dep_off[i+1]]``.  ``outcome`` holds
-    :class:`BranchOutcome` codes (0 correct / 1 redirection /
-    2 misprediction) and is only meaningful where the class is a
-    branch.
-    """
-
-    __slots__ = ("name", "order", "reduction_factor", "seed",
-                 "iclass", "dep_off", "dep_val", "il1", "l2i", "itlb",
-                 "dl1", "l2d", "dtlb", "taken", "outcome")
-
-    def __len__(self) -> int:
-        return int(self.iclass.size)
-
-    def to_synthetic_trace(self) -> SyntheticTrace:
-        """Materialize per-instruction objects (tests, reports and the
-        fuzz oracle; the pipeline consumes the columns directly)."""
-        iclasses = [IClass(code) for code in self.iclass.tolist()]
-        dep_off = self.dep_off.tolist()
-        dep_val = self.dep_val.tolist()
-        il1 = self.il1.tolist()
-        l2i = self.l2i.tolist()
-        itlb = self.itlb.tolist()
-        dl1 = self.dl1.tolist()
-        l2d = self.l2d.tolist()
-        dtlb = self.dtlb.tolist()
-        taken = self.taken.tolist()
-        outcome = self.outcome.tolist()
-        new = SyntheticInstruction.__new__
-        out: List[SyntheticInstruction] = []
-        append = out.append
-        for i, iclass in enumerate(iclasses):
-            inst = new(SyntheticInstruction)
-            inst.iclass = iclass
-            lo, hi = dep_off[i], dep_off[i + 1]
-            inst.dep_distances = tuple(dep_val[lo:hi]) if hi > lo else ()
-            inst.il1_miss = il1[i]
-            inst.l2i_miss = l2i[i]
-            inst.itlb_miss = itlb[i]
-            inst.dl1_miss = dl1[i]
-            inst.l2d_miss = l2d[i]
-            inst.dtlb_miss = dtlb[i]
-            inst.taken = taken[i]
-            inst.outcome = (_OUTCOMES[outcome[i]]
-                            if iclass in BRANCH_CLASSES else None)
-            append(inst)
-        return SyntheticTrace(
-            name=self.name, instructions=out, order=self.order,
-            reduction_factor=self.reduction_factor, seed=self.seed)
-
-    def summary(self) -> dict:
-        """Aggregate annotation rates (vectorized twin of
-        :meth:`SyntheticTrace.summary`)."""
-        n = max(1, len(self))
-        is_branch = np.isin(self.iclass,
-                            [int(c) for c in BRANCH_CLASSES])
-        loads = int((self.iclass == int(IClass.LOAD)).sum())
-        branches = int(is_branch.sum())
-        return {
-            "instructions": len(self),
-            "load_fraction": loads / n,
-            "branch_fraction": branches / n,
-            "il1_miss_rate": float(self.il1.sum()) / n,
-            "dl1_miss_rate": (float(self.dl1.sum()) / loads
-                              if loads else 0.0),
-            "misprediction_rate": (
-                float((self.outcome[is_branch] == 2).sum()) / branches
-                if branches else 0.0),
-        }
 
 
 # -- generation ---------------------------------------------------------

@@ -4,6 +4,14 @@
 synthetic-trace simulation; ``run_execution_driven`` runs the reference
 simulator on the same trace.  Both return power along with performance,
 so callers compute the paper's metrics (IPC, EPC, EDP) directly.
+
+Columns are the one synthetic-trace format: the scalar and the vector
+generator both return a :class:`~repro.core.synthetic.ColumnarTrace`,
+differing only in their draw stream, and ``simulate_synthetic_trace``
+resolves it through :class:`~repro.cpu.source.ColumnarSource` into the
+pipeline's columnar loop.  No per-instruction object exists on that
+path; :class:`~repro.cpu.source.PreannotatedSource` remains the replay
+source of the reference pipeline and the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from repro.obs.tracing import trace_span
 from repro.frontend.trace import Trace
 from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
-from repro.cpu.source import ExecutionDrivenSource, PreannotatedSource
+from repro.cpu.source import ColumnarSource, ExecutionDrivenSource
 from repro.power.wattch import (
     PowerBreakdown,
     WattchPowerModel,
@@ -25,7 +33,7 @@ from repro.power.wattch import (
 )
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import SyntheticTrace
+from repro.core.synthetic import ColumnarTrace
 
 #: The paper's typical synthetic trace reduction factors range from
 #: 1,000 to 100,000; scaled to our shorter reference streams we default
@@ -38,7 +46,7 @@ class StatisticalSimulationReport:
     """Everything produced by one statistical simulation run."""
 
     profile: StatisticalProfile
-    synthetic_trace: SyntheticTrace
+    synthetic_trace: ColumnarTrace
     result: SimulationResult
     power: PowerBreakdown
 
@@ -84,27 +92,19 @@ def run_execution_driven(
 
 
 def simulate_synthetic_trace(
-    synthetic: SyntheticTrace, config: MachineConfig
+    synthetic: ColumnarTrace, config: MachineConfig
 ) -> Tuple[SimulationResult, PowerBreakdown]:
     """Synthetic-trace simulation (paper section 2.3): the shared
-    pipeline consuming pre-annotated slots, no caches, no predictors."""
+    pipeline consuming pre-annotated columns, no caches, no predictors.
+
+    :class:`ColumnarSource` resolves the columns against *config*
+    (load latencies, fetch stalls) before the cycle loop runs; a
+    hand-built :class:`~repro.core.synthetic.SyntheticTrace` comes in
+    through :meth:`ColumnarTrace.from_synthetic`.
+    """
     with trace_span("simulate", bench=synthetic.name, mode="synthetic"):
-        source = PreannotatedSource(synthetic.to_fetch_slots(config))
+        source = ColumnarSource(synthetic, config)
         result = simulate(config, source)
-        power = WattchPowerModel(config).energy_per_cycle(result)
-    return result, power
-
-
-def simulate_columnar_trace(
-    columnar, config: MachineConfig
-) -> Tuple[SimulationResult, PowerBreakdown]:
-    """Synthetic-trace simulation from a columnar trace: the pipeline's
-    vectorized fast path consuming the trace's numpy columns directly
-    (no per-instruction FetchSlot objects)."""
-    from repro.cpu.source import ColumnarSource
-
-    with trace_span("simulate", bench=columnar.name, mode="synthetic"):
-        result = simulate(config, ColumnarSource(columnar, config))
         power = WattchPowerModel(config).energy_per_cycle(result)
     return result, power
 
@@ -130,11 +130,10 @@ def run_statistical_simulation(
     predictor and IFQ size do — re-profile for those, as the paper notes
     in section 4.4).
 
-    *vector* routes synthesis and simulation through the columnar batch
-    kernels (:mod:`repro.core.columnar`): same distributions and same
-    pipeline semantics, different (statistically equivalent) draw
-    sequence — see docs/performance.md.  The report's
-    ``synthetic_trace`` is materialized from the columns either way.
+    *vector* synthesizes with the columnar batch kernels
+    (:mod:`repro.core.columnar`): same distributions, same trace format
+    and same pipeline, different (statistically equivalent) draw
+    sequence — see docs/performance.md.
     """
     if reduction_factor <= 0:
         raise SynthesisError(
@@ -148,18 +147,13 @@ def run_statistical_simulation(
                                 perfect_caches=perfect_caches,
                                 warmup_trace=warmup_trace)
     if vector:
-        from repro.core.columnar import generate_columnar_trace
-
-        columnar = generate_columnar_trace(
-            profile, reduction_factor, seed=seed,
-            include_anti_dependencies=include_anti_dependencies)
-        result, power = simulate_columnar_trace(columnar, config)
-        synthetic = columnar.to_synthetic_trace()
+        from repro.core.columnar import generate_columnar_trace as generate
     else:
-        synthetic = generate_synthetic_trace(
-            profile, reduction_factor, seed=seed,
-            include_anti_dependencies=include_anti_dependencies)
-        result, power = simulate_synthetic_trace(synthetic, config)
+        generate = generate_synthetic_trace
+    synthetic = generate(
+        profile, reduction_factor, seed=seed,
+        include_anti_dependencies=include_anti_dependencies)
+    result, power = simulate_synthetic_trace(synthetic, config)
     return StatisticalSimulationReport(
         profile=profile,
         synthetic_trace=synthetic,

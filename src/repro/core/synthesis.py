@@ -25,6 +25,10 @@ samplers are bit-compatible with the original ``bisect_right`` code:
 the same profile and seed produce a byte-identical synthetic trace
 (pinned by ``tests/test_determinism_golden.py``; the pre-overhaul
 generator survives as :mod:`repro.bench.legacy` for benchmarking).
+
+The trace comes out as a :class:`~repro.core.synthetic.ColumnarTrace`,
+the one format synthesis hands to the pipeline: the compiled emitters
+write column buffers, never per-instruction objects.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from repro.errors import SynthesisError
 from repro.health.budget import checkpoint as _health_checkpoint
@@ -43,7 +49,7 @@ from repro.core.profiler import StatisticalProfile
 from repro.core.reduction import ReducedFlowGraph, reduce_flow_graph
 from repro.core.sampling import FenwickSampler, GuideTableSampler
 from repro.core.sfg import Context, ContextStats, StatisticalFlowGraph
-from repro.core.synthetic import SyntheticInstruction, SyntheticTrace
+from repro.core.synthetic import ColumnarTrace
 
 #: Emitted instructions between cooperative health checkpoints
 #: (:mod:`repro.health`); the checkpoint draws nothing from the RNG,
@@ -52,10 +58,6 @@ _HEALTH_EVERY = 8192
 
 #: Paper section 2.2 step 4: retries before squashing a dependency.
 MAX_DEPENDENCY_RETRIES = 1000
-
-#: Branch outcomes indexed by their position in ``outcome_counts``.
-_OUTCOMES = (BranchOutcome(0), BranchOutcome(1), BranchOutcome(2))
-_OUTCOME_CORRECT = BranchOutcome.CORRECT
 
 
 def _operand_table(histogram: Dict[int, int], occurrences: int) -> tuple:
@@ -77,7 +79,7 @@ class _SlotRecipe:
     cumulative branch-outcome thresholds (precomputed once here; the
     old code sliced ``outcome_cumulative[:-1]`` per branch draw), and
     the produces-register flag the walk uses for the step 4 rejection
-    test without touching the emitted instruction objects.
+    test without reading the emitted columns back.
     """
 
     __slots__ = ("packed",)
@@ -138,7 +140,7 @@ class _SfgTables:
     __slots__ = ("recipes", "anti_recipes", "transitions", "edges")
 
     def __init__(self) -> None:
-        # context -> compiled emit(out, produces, rand) function
+        # context -> compiled emit(produces, record, dep_val, rand)
         self.recipes: Dict[Context, object] = {}
         self.anti_recipes: Dict[Context, object] = {}
         self.transitions: Dict[Tuple[int, ...],
@@ -256,9 +258,30 @@ def _emit_distance_walk(body: List[str], pad: str, table: tuple,
     return "dd"
 
 
+#: The per-instruction record the compiled emitters write: one byte per
+#: field, in this order — the instruction class, the seven event flags
+#: (in ColumnarTrace column order), the BranchOutcome code and the
+#: number of dependency distances the instruction carries.
+_RECORD = ("iclass", "il1", "l2i", "itlb", "dl1", "l2d", "dtlb", "taken",
+           "outcome", "deps")
+_STRIDE = len(_RECORD)
+_FIELD = {name: index for index, name in enumerate(_RECORD)}
+
+
 def _compile_emitter(packed_recipes: List[tuple]):
     """Compile one context's packed slot recipes into an
-    ``emit(out, produces, rand)`` function (steps 3-8 specialized)."""
+    ``emit(produces, record, dep_val, rand)`` function (steps 3-8
+    specialized).
+
+    The emitter writes columns, not objects.  Each block appends its
+    static record template — instruction classes, everything else
+    zero — to the *record* bytearray and its static produces-register
+    flags to *produces*; the draws then set the bytes of the events
+    that occur (a miss, a taken branch, a non-correct outcome), count
+    each instruction's dependencies and append the distances to
+    *dep_val*.  :func:`_to_columns` turns the finished record into the
+    trace's numpy columns.
+    """
     env: Dict[str, object] = {}
     names: List[str] = []
 
@@ -268,110 +291,113 @@ def _compile_emitter(packed_recipes: List[tuple]):
         names.append(name)
         return name
 
-    si = bind("_SI", SyntheticInstruction)
-    body: List[str] = ["    position = len(out)", "    append = out.append"]
-    flags = bind("_P", [r[15] for r in packed_recipes])
+    flags = bind("_P", tuple(r[15] for r in packed_recipes))
+    template = bytearray(_STRIDE * len(packed_recipes))
+    template[_FIELD["iclass"]::_STRIDE] = bytes(
+        int(r[14]) for r in packed_recipes)
+    record = bind("_R", bytes(template))
     # The block's produces-register flags are static, so the parallel
     # array is extended up front; in-block dependency targets (distance
     # smaller than the slot index) then resolve like any older slot.
-    body.append(f"    produces.extend({flags})")
+    body: List[str] = [
+        "    position = len(produces)",
+        f"    produces.extend({flags})",
+        f"    base = position * {_STRIDE}",
+        f"    record += {record}",
+    ]
     for k, packed in enumerate(packed_recipes):
         (operand_tables, anti_tables, is_load, is_branch,
          p_il1, p_l2i, p_itlb, p_dl1, p_l2d, p_dtlb,
          p_taken, oc0, oc1, ototal, _iclass, _flag) = packed
-        active = [t for t in operand_tables if t[1]]
-        has_deps = bool(active) or bool(anti_tables)
-        if has_deps:
-            body.append("    deps = []")
+
+        def at(field: str) -> str:
+            return f"record[base + {k * _STRIDE + _FIELD[field]}]"
+
         # Step 4: dependency distances, rejecting branch/store
         # producers (up to MAX_DEPENDENCY_RETRIES redraws each).
-        for table in active:
+        for table in operand_tables:
+            if not table[1]:
+                continue
             body.append(f"    if rand() < {table[0]!r}:")
             body.append(f"        for _r in range({MAX_DEPENDENCY_RETRIES}):")
             expr = _emit_distance_walk(body, "            ", table, bind)
             body.append(f"            t = position + {k} - {expr}")
             body.append("            if t >= 0 and not produces[t]:")
             body.append("                continue")
-            body.append(f"            deps.append({expr})")
+            body.append(f"            {at('deps')} += 1")
+            body.append(f"            dep_val({expr})")
             body.append("            break")
         # WAW/WAR distances for non-renaming machines (section 2.1.1
         # extension): no producer check, no retries.
         for table in anti_tables:
             body.append(f"    if rand() < {table[0]!r}:")
             expr = _emit_distance_walk(body, "        ", table, bind)
-            body.append(f"        deps.append({expr})")
+            body.append(f"        {at('deps')} += 1")
+            body.append(f"        dep_val({expr})")
         # Steps 5-7: locality events (a draw is consumed even when the
-        # probability is zero, matching the legacy comparisons).
-        if p_il1:
-            body.append(f"    il1 = rand() < {p_il1!r}")
-            body.append(f"    l2i = il1 and rand() < {p_l2i!r}")
-            il1_e, l2i_e = "il1", "l2i"
-        else:
-            body.append("    rand()")
-            il1_e = l2i_e = "False"
-        if p_itlb:
-            body.append(f"    itlb = rand() < {p_itlb!r}")
-            itlb_e = "itlb"
-        else:
-            body.append("    rand()")
-            itlb_e = "False"
-        dl1_e = l2d_e = dtlb_e = "False"
+        # probability is zero, matching the legacy comparisons; the L2
+        # draw happens only after an L1 miss).
+        _emit_miss(body, p_il1, p_l2i, at("il1"), at("l2i"))
+        _emit_event(body, p_itlb, at("itlb"))
         if is_load:
-            if p_dl1:
-                body.append(f"    dl1 = rand() < {p_dl1!r}")
-                body.append(f"    l2d = dl1 and rand() < {p_l2d!r}")
-                dl1_e, l2d_e = "dl1", "l2d"
-            else:
-                body.append("    rand()")
-            if p_dtlb:
-                body.append(f"    dtlb = rand() < {p_dtlb!r}")
-                dtlb_e = "dtlb"
-            else:
-                body.append("    rand()")
-        # Step 6: branch characteristics.
-        taken_e, outcome_e = "False", "None"
+            _emit_miss(body, p_dl1, p_l2d, at("dl1"), at("l2d"))
+            _emit_event(body, p_dtlb, at("dtlb"))
+        # Step 6: branch characteristics; outcomes never observed in
+        # the context classify as CORRECT (code 0, no draw).
         if is_branch:
-            if p_taken:
-                body.append(f"    taken = rand() < {p_taken!r}")
-                taken_e = "taken"
-            else:
-                body.append("    rand()")
+            _emit_event(body, p_taken, at("taken"))
             if ototal:
                 body.append(f"    draw = rand() * {ototal}")
-                body.append(f"    outcome = _OU[({oc0} <= draw)"
-                            f" + ({oc1} <= draw)]")
-                outcome_e = "outcome"
-                env.setdefault("_OU", _OUTCOMES)
-                if "_OU" not in names:
-                    names.append("_OU")
-            else:
-                outcome_e = "_OC"
-                env.setdefault("_OC", _OUTCOME_CORRECT)
-                if "_OC" not in names:
-                    names.append("_OC")
-        ic = bind("_I", packed[14])
-        deps_e = "tuple(deps)" if has_deps else "()"
-        # Direct slot stores via __new__ skip the __init__ call frame —
-        # this loop constructs every instruction of the trace.
-        body.append(f"    inst = _NEW({si})")
-        body.append(f"    inst.iclass = {ic}")
-        body.append(f"    inst.dep_distances = {deps_e}")
-        body.append(f"    inst.il1_miss = {il1_e}")
-        body.append(f"    inst.l2i_miss = {l2i_e}")
-        body.append(f"    inst.itlb_miss = {itlb_e}")
-        body.append(f"    inst.dl1_miss = {dl1_e}")
-        body.append(f"    inst.l2d_miss = {l2d_e}")
-        body.append(f"    inst.dtlb_miss = {dtlb_e}")
-        body.append(f"    inst.taken = {taken_e}")
-        body.append(f"    inst.outcome = {outcome_e}")
-        body.append("    append(inst)")
-    env["_NEW"] = SyntheticInstruction.__new__
-    names.append("_NEW")
+                body.append(f"    if {oc0} <= draw:")
+                body.append(f"        {at('outcome')} = "
+                            f"{int(BranchOutcome.MISPREDICTION)} "
+                            f"if {oc1} <= draw else "
+                            f"{int(BranchOutcome.FETCH_REDIRECTION)}")
     params = "".join(f", {name}={name}" for name in names)
     source = "\n".join(
-        [f"def _emit(out, produces, rand{params}):"] + body)
+        [f"def _emit(produces, record, dep_val, rand{params}):"] + body)
     exec(compile(source, "<sfg-emitter>", "exec"), env)
     return env["_emit"]
+
+
+def _emit_event(body: List[str], probability: float, flag: str) -> None:
+    """Generate one single-draw event flag."""
+    if probability:
+        body.append(f"    if rand() < {probability!r}:")
+        body.append(f"        {flag} = 1")
+    else:
+        body.append("    rand()")
+
+
+def _emit_miss(body: List[str], p_first: float, p_second: float,
+               first: str, second: str) -> None:
+    """Generate an L1 miss draw and, only after a miss, the L2 draw."""
+    if p_first:
+        body.append(f"    if rand() < {p_first!r}:")
+        body.append(f"        {first} = 1")
+        body.append(f"        if rand() < {p_second!r}:")
+        body.append(f"            {second} = 1")
+    else:
+        body.append("    rand()")
+
+
+def _to_columns(record: bytearray, dep_val: List[int]) -> ColumnarTrace:
+    """The emitters' record as a trace's numpy columns."""
+    n = len(record) // _STRIDE
+    columns = np.frombuffer(record, dtype=np.uint8).reshape(
+        n, _STRIDE).T.copy()
+    trace = ColumnarTrace.__new__(ColumnarTrace)
+    trace.iclass = columns[_FIELD["iclass"]]
+    # The seven event flags are contiguous in the record.
+    (trace.il1, trace.l2i, trace.itlb, trace.dl1, trace.l2d, trace.dtlb,
+     trace.taken) = columns[_FIELD["il1"]:_FIELD["outcome"]].view(bool)
+    trace.outcome = columns[_FIELD["outcome"]]
+    dep_off = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(columns[_FIELD["deps"]], dtype=np.int64,
+                      out=dep_off[1:])
+    trace.dep_off = dep_off
+    trace.dep_val = np.asarray(dep_val, dtype=np.int64)
+    return trace
 
 
 def generate_synthetic_trace(
@@ -381,9 +407,9 @@ def generate_synthetic_trace(
     reduced: Optional[ReducedFlowGraph] = None,
     max_instructions: Optional[int] = None,
     include_anti_dependencies: bool = False,
-) -> SyntheticTrace:
+) -> ColumnarTrace:
     """Generate a synthetic trace a factor *reduction_factor* smaller
-    than the profiled execution (paper section 2.2).
+    than the profiled execution (paper section 2.2), as columns.
 
     Pass *reduced* to reuse an already-reduced graph (e.g. when
     generating multiple traces with different seeds for convergence
@@ -392,39 +418,17 @@ def generate_synthetic_trace(
     WAW/WAR distances into the trace, for machines simulated without
     full register renaming (pair with
     ``MachineConfig.enforce_anti_dependencies``).
+
+    The result is the same :class:`ColumnarTrace` format the vector
+    generator (:mod:`repro.core.columnar`) returns; the two differ only
+    in their draw stream.  Call ``to_synthetic_trace()`` on it for
+    per-instruction objects.
     """
     with trace_span("synthesize", bench=profile.name, seed=seed):
         return _generate_synthetic_trace(
             profile, reduction_factor, seed=seed, reduced=reduced,
             max_instructions=max_instructions,
             include_anti_dependencies=include_anti_dependencies)
-
-
-def generate_synthetic_trace_columnar(
-    profile: StatisticalProfile,
-    reduction_factor: float,
-    seed: int = 0,
-    reduced: Optional[ReducedFlowGraph] = None,
-    max_instructions: Optional[int] = None,
-    include_anti_dependencies: bool = False,
-):
-    """Columnar batch twin of :func:`generate_synthetic_trace`.
-
-    Same parameters and reduced-graph semantics, but the result is a
-    :class:`repro.core.columnar.ColumnarTrace` of parallel numpy
-    columns, emitted in whole-trace batches.  Both walks drain every
-    context's full reduced budget, so the trace length and per-class
-    instruction counts match the scalar trace exactly; the visit order
-    and the per-instruction draws come from an independent ``numpy``
-    stream — statistically equivalent, not draw-for-draw identical
-    (see docs/performance.md).
-    """
-    from repro.core.columnar import generate_columnar_trace
-
-    return generate_columnar_trace(
-        profile, reduction_factor, seed=seed, reduced=reduced,
-        max_instructions=max_instructions,
-        include_anti_dependencies=include_anti_dependencies)
 
 
 def _generate_synthetic_trace(
@@ -434,7 +438,7 @@ def _generate_synthetic_trace(
     reduced: Optional[ReducedFlowGraph] = None,
     max_instructions: Optional[int] = None,
     include_anti_dependencies: bool = False,
-) -> SyntheticTrace:
+) -> ColumnarTrace:
     sfg = profile.sfg
     if not sfg.contexts:
         raise SynthesisError(
@@ -477,8 +481,12 @@ def _generate_synthetic_trace(
     pending: Dict[Context, int] = {}
     pending_get = pending.get
 
-    out: List[SyntheticInstruction] = []
+    # Column buffers the compiled emitters append to (see
+    # _compile_emitter); *produces* doubles as the position counter.
     produces: List[int] = []
+    record = bytearray()
+    dep_val: List[int] = []
+    dep_val_append = dep_val.append
     built = 0
     limit = (max_instructions if max_instructions is not None
              else float("inf"))
@@ -506,11 +514,12 @@ def _generate_synthetic_trace(
                                       include_anti_dependencies)
                 recipe_cache[context] = emit
                 built += 1
-            emit(out, produces, rand)  # steps 3-8
-            if len(out) >= next_health:
-                next_health = len(out) + _HEALTH_EVERY
-                _health_checkpoint(len(out))
-            if len(out) >= limit:
+            emit(produces, record, dep_val_append, rand)  # steps 3-8
+            emitted = len(produces)
+            if emitted >= next_health:
+                next_health = emitted + _HEALTH_EVERY
+                _health_checkpoint(emitted)
+            if emitted >= limit:
                 total_remaining = 0
                 break
             if order == 0:
@@ -552,10 +561,9 @@ def _generate_synthetic_trace(
     if built:
         get_registry().counter("synthesis.recipe_contexts_built").inc(
             built)
-    return SyntheticTrace(
-        name=f"{profile.name}/synthetic",
-        instructions=out,
-        order=order,
-        reduction_factor=reduction_factor,
-        seed=seed,
-    )
+    trace = _to_columns(record, dep_val)
+    trace.name = f"{profile.name}/synthetic"
+    trace.order = order
+    trace.reduction_factor = reduction_factor
+    trace.seed = seed
+    return trace

@@ -7,9 +7,14 @@ the paper's simulators:
   execution-driven *reference* simulator — live caches and branch
   predictor resolve every locality event from real addresses, with
   lookups at fetch and speculative update at dispatch;
-* fed by a :class:`~repro.cpu.source.PreannotatedSource`, it is the
+* fed by a :class:`~repro.cpu.source.ColumnarSource`, it is the
   *synthetic-trace* simulator of paper section 2.3 — no caches or
   predictors, all outcomes pre-assigned by the trace generator.
+  Columns (:class:`~repro.core.synthetic.ColumnarTrace`) are the one
+  synthetic-trace format: the scalar and the vector generator both
+  emit them, differing only in their draw stream.
+  :class:`~repro.cpu.source.PreannotatedSource` replays ``FetchSlot``
+  lists for the frozen reference pipeline and the tests.
 
 This makes the paper's statement that the two simulators share their
 cycle model literal, so accuracy comparisons measure the statistical
@@ -17,6 +22,7 @@ methodology rather than model drift.
 """
 
 from repro.cpu.source import (
+    ColumnarSource,
     ExecutionDrivenSource,
     FetchSlot,
     InstructionSource,
@@ -26,6 +32,7 @@ from repro.cpu.pipeline import SuperscalarPipeline, simulate
 from repro.cpu.results import SimulationResult
 
 __all__ = [
+    "ColumnarSource",
     "FetchSlot",
     "InstructionSource",
     "ExecutionDrivenSource",

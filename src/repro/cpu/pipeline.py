@@ -44,9 +44,7 @@ from repro.obs.metrics import record_simulation
 from repro.isa.iclass import FunctionalUnit
 from repro.branch.unit import BranchOutcome
 from repro.cpu.results import SimulationResult
-from repro.cpu.source import (ColumnarSource, FetchSlot,
-                              InstructionSource, PreannotatedSource,
-                              _FILLER_CACHE, _filler_slot)
+from repro.cpu.source import ColumnarSource, FetchSlot, InstructionSource
 
 from repro.health.budget import checkpoint as _health_checkpoint
 
@@ -127,7 +125,7 @@ class SuperscalarPipeline:
         config = self.config
         source = self.source
         if isinstance(source, ColumnarSource) and not config.in_order_issue:
-            # Columnar fast path: same machine, no per-instruction
+            # Synthetic traces: same machine, no per-instruction
             # objects (see _run_columnar).  In-order issue walks the
             # RUU through slot objects, so it stays on the generic
             # loop via the source's protocol methods.
@@ -147,19 +145,6 @@ class SuperscalarPipeline:
         source_fetch = source.fetch
         source_peek_filler = source.peek_filler
         source_on_dispatch = source.on_dispatch
-        # Fast path for the statistical simulator: a PreannotatedSource
-        # is a plain replay buffer with no locality state, so fetch and
-        # wrong-path peeking inline to a list index (its cursor is
-        # written back on every exit).  Execution-driven sources keep
-        # the method calls — their fetch runs caches and a predictor.
-        if isinstance(source, PreannotatedSource):
-            pre_slots = source._slots
-            pre_len = len(pre_slots)
-            pre_pos = source._pos
-        else:
-            pre_slots = None
-            pre_len = pre_pos = 0
-        filler_cache_get = _FILLER_CACHE.get
         heap_push = heappush
         heap_pop = heappop
         last_store: Optional[_Inflight] = None
@@ -426,8 +411,7 @@ class SuperscalarPipeline:
                     lsq_count += 1
                 slot = inst.slot
                 if slot.is_branch and not inst.wrong_path:
-                    if pre_slots is None:
-                        source_on_dispatch(slot)
+                    source_on_dispatch(slot)
                     act_bpred += 1
                 # Resolve RAW dependencies against dispatch history.
                 distances = slot.dep_distances
@@ -471,32 +455,18 @@ class SuperscalarPipeline:
                 decode_ready = cycle + frontend_depth
                 while fetched < fetch_width and ifq_count < ifq_size:
                     if episode is not None:
-                        if pre_slots is not None:
-                            iclass = pre_slots[(pre_pos + filler_offset)
-                                               % pre_len].iclass
-                            slot = filler_cache_get(iclass)
-                            if slot is None:
-                                slot = _filler_slot(iclass)
-                        else:
-                            slot = source_peek_filler(filler_offset)
-                            if slot is None:
-                                break
+                        slot = source_peek_filler(filler_offset)
+                        if slot is None:
+                            break
                         filler_offset += 1
                         wrong_path = True
                     elif exhausted:
                         break
                     else:
-                        if pre_slots is not None:
-                            if pre_pos >= pre_len:
-                                exhausted = True
-                                break
-                            slot = pre_slots[pre_pos]
-                            pre_pos += 1
-                        else:
-                            slot = source_fetch()
-                            if slot is None:
-                                exhausted = True
-                                break
+                        slot = source_fetch()
+                        if slot is None:
+                            exhausted = True
+                            break
                         wrong_path = False
                     if free:
                         # Pooled records need no pending/squashed/
@@ -573,8 +543,6 @@ class SuperscalarPipeline:
             if exhausted and not ifq_count and not ruu_count:
                 break
             if cycle >= max_cycles:
-                if pre_slots is not None:
-                    source._pos = pre_pos
                 raise RuntimeError(
                     f"pipeline did not drain within {max_cycles} cycles "
                     f"({committed} committed)"
@@ -607,15 +575,11 @@ class SuperscalarPipeline:
                     ifq_occupancy_sum += ifq_count * skip
                     cycle = target
                     if cycle >= max_cycles:
-                        if pre_slots is not None:
-                            source._pos = pre_pos
                         raise RuntimeError(
                             f"pipeline did not drain within {max_cycles} "
                             f"cycles ({committed} committed)"
                         )
 
-        if pre_slots is not None:
-            source._pos = pre_pos
         activity = {
             "fetch": act_fetch, "dispatch": act_dispatch,
             "issue": act_issue, "commit": act_commit,
@@ -646,11 +610,13 @@ class SuperscalarPipeline:
 
     def _run_columnar(self, max_cycles: Optional[int] = None,
                       commit_log: Optional[list] = None) -> SimulationResult:
-        """The columnar twin of :meth:`run`.
+        """The columnar twin of :meth:`run`: the loop every synthetic
+        trace runs on.
 
         Same machine, same stage order, cycle-for-cycle identical
-        results (``tests/test_columnar.py`` pins this against the
-        generic loop on the same trace) — but fed from a
+        results (``tests/test_pipeline_equivalence.py`` pins this
+        against the frozen reference on every machine variant, and the
+        fuzzer on each case's machine shape) — but fed from a
         :class:`ColumnarSource`'s parallel columns: per-instruction
         latency, functional unit, dependency tuple and a packed
         branch/stall control byte land directly on the pooled

@@ -5,10 +5,18 @@ A :class:`FetchSlot` is the pipeline's view of one instruction — class,
 execution latency, fetch stall, RAW dependency distances and branch
 outcome — deliberately identical for real and synthetic instructions.
 The :class:`ExecutionDrivenSource` computes slots from a dynamic trace
-with live caches and a live branch predictor (the reference simulator);
-the :class:`PreannotatedSource` replays slots that the synthetic trace
-generator annotated in advance (the statistical simulator, which per the
-paper "does not need to model branch predictors nor caches").
+with live caches and a live branch predictor (the reference simulator).
+
+The statistical simulator, which per the paper "does not need to model
+branch predictors nor caches", replays annotations the synthetic trace
+generator assigned in advance.  Columns are the one synthetic-trace
+format: :class:`ColumnarSource` resolves a
+:class:`~repro.core.synthetic.ColumnarTrace` — from the scalar or the
+vector generator, which differ only in their draw stream — for the
+pipeline's columnar loop.  :class:`PreannotatedSource` replays a list of
+``FetchSlot`` objects; it is the replay source of the frozen
+:class:`~repro.cpu.reference.ReferencePipeline`, the tests and the fuzz
+oracle, not of any production path.
 """
 
 from __future__ import annotations
@@ -274,6 +282,12 @@ _CLASS_IS_MEM = [c in (IClass.LOAD, IClass.STORE) for c in IClass]
 _CLASS_IS_BRANCH = [c in (IClass.INT_COND_BRANCH, IClass.FP_COND_BRANCH,
                           IClass.INDIRECT_BRANCH) for c in IClass]
 
+#: Shared one-distance dependency tuples, indexed by distance: nearly
+#: every synthetic instruction carries exactly one dependency, and
+#: sharing these spares ColumnarSource one allocation per instruction.
+_SINGLE_DEPS = tuple((distance,)
+                     for distance in range(MAX_DEPENDENCY_DISTANCE + 1))
+
 #: Control-byte bits consumed by the pipeline's columnar fetch stage.
 CTRL_TAKEN = 1
 CTRL_MISPREDICT = 2
@@ -292,19 +306,20 @@ _FILLER_ROWS = [
 
 
 class ColumnarSource:
-    """Batch twin of :class:`PreannotatedSource`.
+    """The synthetic-trace simulator's instruction source.
 
-    Resolves a :class:`repro.core.columnar.ColumnarTrace` into parallel
+    Resolves a :class:`repro.core.synthetic.ColumnarTrace` into parallel
     per-instruction columns — execution latency, fetch stall,
     functional unit, memory/load/store flags, dependency tuples and a
     packed branch/stall control byte — with whole-trace numpy
     expressions instead of one ``FetchSlot`` construction per
-    instruction.  ``SuperscalarPipeline.run`` detects this source and
-    switches to its columnar fast path, which walks these columns
-    directly; the generic :class:`InstructionSource` protocol methods
-    below materialize classic ``FetchSlot`` objects lazily, so the
-    source also works (more slowly) with any configuration the fast
-    path does not cover (e.g. in-order issue).
+    instruction (the columnwise equivalent of
+    ``SyntheticTrace.to_fetch_slots``).  ``SuperscalarPipeline.run``
+    detects this source and switches to its columnar loop, which walks
+    these columns directly; the generic :class:`InstructionSource`
+    protocol methods below materialize classic ``FetchSlot`` objects
+    lazily, so the source also works (more slowly) with any
+    configuration the columnar loop does not cover (in-order issue).
 
     Counters the scalar fetch stage accumulates per instruction are
     precomputed here as column sums: every correct-path instruction is
@@ -339,7 +354,11 @@ class ColumnarSource:
                          np.where(trace.il1, l2_latency, 0)) \
             + trace.itlb * config.itlb.miss_latency
 
-        ctrl = (trace.taken * CTRL_TAKEN
+        # Like the generic fetch stage, the taken flag counts only on
+        # branches and the D-cache miss flag only on memory operations.
+        taken = is_branch & trace.taken
+        is_mem = is_load | is_store
+        ctrl = (taken * CTRL_TAKEN
                 + (is_branch & (trace.outcome == 2)) * CTRL_MISPREDICT
                 + (is_branch & (trace.outcome == 1)) * CTRL_REDIRECT
                 + (stall > 0) * CTRL_STALL)
@@ -347,8 +366,14 @@ class ColumnarSource:
         deps: List[Tuple[int, ...]] = [()] * n
         dep_off = trace.dep_off.tolist()
         dep_val = trace.dep_val.tolist()
+        single = _SINGLE_DEPS
         for i in np.flatnonzero(np.diff(trace.dep_off)).tolist():
-            deps[i] = tuple(dep_val[dep_off[i]:dep_off[i + 1]])
+            lo, hi = dep_off[i], dep_off[i + 1]
+            distance = dep_val[lo]
+            if hi - lo == 1 and 0 < distance <= MAX_DEPENDENCY_DISTANCE:
+                deps[i] = single[distance]
+            else:
+                deps[i] = tuple(dep_val[lo:hi])
 
         # One prebuilt row tuple per instruction: everything the
         # pipeline's columnar loop needs lands on the inflight record
@@ -363,18 +388,18 @@ class ColumnarSource:
             deps,
             is_load.tolist(),
             is_store.tolist(),
-            (is_load | is_store).tolist(),
+            is_mem.tolist(),
             ctrl.tolist(),
         ))
 
         # Timing-independent fetch/dispatch tallies (see class docs).
         self.branches = int(is_branch.sum())
-        self.taken_branches = int(trace.taken.sum())
+        self.taken_branches = int(taken.sum())
         branch_outcomes = trace.outcome[is_branch]
         self.mispredictions = int((branch_outcomes == 2).sum())
         self.redirections = int((branch_outcomes == 1).sum())
-        self.act_l2 = int(trace.il1.sum()) + int(trace.dl1.sum())
-        self.act_dl1 = int((is_load | is_store).sum())
+        self.act_l2 = int(trace.il1.sum()) + int((is_mem & trace.dl1).sum())
+        self.act_dl1 = int(is_mem.sum())
         # Fetch classifies each branch once and dispatch updates the
         # predictor model once per correct-path branch.
         self.act_bpred = 2 * self.branches
@@ -426,11 +451,14 @@ class ColumnarSource:
 
 
 class PreannotatedSource:
-    """Replays pre-resolved fetch slots (the synthetic-trace simulator).
+    """Replays pre-resolved fetch slots through the generic
+    :class:`InstructionSource` protocol.
 
-    All locality and branch outcomes were assigned during synthetic trace
-    generation (paper section 2.2, steps 5-7), so this source holds no
-    caches and no predictor.
+    The reference and test replay source: the frozen
+    :class:`~repro.cpu.reference.ReferencePipeline`, the equivalence
+    tests and the fuzz oracle feed it ``SyntheticTrace.to_fetch_slots``
+    output or hand-built slots.  Like :class:`ColumnarSource` it holds
+    no caches and no predictor — every outcome was assigned in advance.
     """
 
     def __init__(self, slots: Sequence[FetchSlot]) -> None:

@@ -81,10 +81,11 @@ def evaluate_metrics(profile, config: MachineConfig, seed: int,
     path, the worker processes and the speedup experiment, so all of
     them are numerically identical by construction.
 
-    *vector* routes the evaluation through the columnar batch kernels —
-    a statistically equivalent but different draw sequence, so vector
-    and scalar metrics are cached under distinct keys (see
-    :func:`repro.dse.cache.result_key`).
+    Both modes hand the pipeline the same columnar trace format and
+    simulate it on the same columnar loop.  *vector* synthesizes with
+    the columnar batch kernels — a statistically equivalent but
+    different draw sequence, so vector and scalar metrics are cached
+    under distinct keys (see :func:`repro.dse.cache.result_key`).
 
     The degradation ladder can override *vector*: once the ``vector``
     breaker is open (canary drift, soft-RSS pressure) the evaluation
@@ -92,6 +93,7 @@ def evaluate_metrics(profile, config: MachineConfig, seed: int,
     which rung actually executed so callers never cache a scalar draw
     sequence under a vector key.
     """
+    from repro.core.framework import simulate_synthetic_trace
     from repro.health.ladder import get_ladder
     from repro.power.wattch import energy_delay_product
 
@@ -99,27 +101,22 @@ def evaluate_metrics(profile, config: MachineConfig, seed: int,
         vector = False
     if vector:
         from repro.core.columnar import generate_columnar_trace
-        from repro.core.framework import simulate_columnar_trace
         from repro.health.canary import maybe_check_columnar
 
-        columnar = generate_columnar_trace(profile, reduction_factor,
-                                           seed=seed)
-        maybe_check_columnar(profile, columnar)
-        result, power = simulate_columnar_trace(columnar, config)
-        count = len(columnar.iclass)
+        synthetic = generate_columnar_trace(profile, reduction_factor,
+                                            seed=seed)
+        maybe_check_columnar(profile, synthetic)
     else:
-        from repro.core.framework import simulate_synthetic_trace
         from repro.core.synthesis import generate_synthetic_trace
 
         synthetic = generate_synthetic_trace(profile, reduction_factor,
                                              seed=seed)
-        result, power = simulate_synthetic_trace(synthetic, config)
-        count = len(synthetic)
+    result, power = simulate_synthetic_trace(synthetic, config)
     return {
         "ipc": result.ipc,
         "epc": power.total,
         "edp": energy_delay_product(power.total, result.ipc),
-        "synthetic_instructions": count,
+        "synthetic_instructions": len(synthetic),
         "mode": "vector" if vector else "scalar",
     }
 

@@ -29,6 +29,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.core.synthetic import ColumnarTrace
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -54,22 +55,23 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
         def record(key: str, ipcs: List[float]) -> None:
             errors[key] = absolute_error(mean(ipcs), reference.ipc)
 
+        def hand_built_ipc(synthetic) -> float:
+            return simulate_synthetic_trace(
+                ColumnarTrace.from_synthetic(synthetic), config)[0].ipc
+
         independent = IndependentModel(trace, config)
         record("independent", [
-            simulate_synthetic_trace(independent.generate(length, seed),
-                                     config)[0].ipc
+            hand_built_ipc(independent.generate(length, seed))
             for seed in scale.seeds])
 
         profile = hls_profile(trace, config)
         record("hls", [
-            simulate_synthetic_trace(
-                generate_hls_trace(profile, length, seed), config)[0].ipc
+            hand_built_ipc(generate_hls_trace(profile, length, seed))
             for seed in scale.seeds])
 
         size_model = SizeCorrelatedModel(trace, config)
         record("size_correlated", [
-            simulate_synthetic_trace(size_model.generate(length, seed),
-                                     config)[0].ipc
+            hand_built_ipc(size_model.generate(length, seed))
             for seed in scale.seeds])
 
         for order, key in ((0, "sfg_k0"), (1, "sfg_k1")):

@@ -19,6 +19,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.core.synthetic import ColumnarTrace
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -42,7 +43,8 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
         for seed in scale.seeds:
             synthetic = generate_hls_trace(profile, synthetic_length,
                                            seed=seed)
-            result, _ = simulate_synthetic_trace(synthetic, config)
+            result, _ = simulate_synthetic_trace(
+                ColumnarTrace.from_synthetic(synthetic), config)
             hls_ipcs.append(result.ipc)
 
         smart_profile = profile_trace(trace, config, order=1,

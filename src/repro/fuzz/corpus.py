@@ -184,7 +184,7 @@ class CorpusEntry:
     """One minimized reproducer with its discovery context."""
 
     case_id: str
-    kind: str  # "differential" or "acceptance"
+    kind: str  # differential, synthetic-differential, acceptance, vector
     case: Dict  # FuzzCase.to_dict()
     report: Dict  # DifferentialReport/AcceptanceReport .to_dict()
     program: Dict  # program_to_dict() of the minimized reproducer

@@ -1,10 +1,13 @@
 """The fuzzing harness: case loop, verdicts, corpus and replay.
 
-One fuzz *case* is evaluated in two layers:
+One fuzz *case* is evaluated in layers:
 
 1. **differential** — the case's program runs through the optimized and
    the frozen reference pipeline; any divergence (fields or retirement
-   schedule) is a failure (:mod:`repro.fuzz.oracle`);
+   schedule) is a failure (:mod:`repro.fuzz.oracle`).  The case's
+   synthesized trace is diffed the same way through the production
+   synthetic path (columns into the columnar loop) against the
+   reference, on the case's machine shape;
 2. **acceptance** — the paper's profile → reduce → synthesize loop runs
    on the same trace, and the synthetic statistics must converge to the
    profile within scaled tolerances (:mod:`repro.fuzz.acceptance`);
@@ -53,8 +56,8 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.generator import FuzzCase, case_from_dict, random_case
 from repro.fuzz.minimize import minimize_program
-from repro.fuzz.oracle import diff_program
-from repro.errors import FuzzDiscrepancyError
+from repro.fuzz.oracle import diff_program, diff_synthetic
+from repro.errors import FuzzDiscrepancyError, SynthesisError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace_span
 from repro.runner import RunnerPolicy, TaskRunner, WorkUnit
@@ -68,6 +71,10 @@ DIFFERENTIAL = "differential"
 ACCEPTANCE = "acceptance"
 VECTOR = "vector"
 ERROR = "error"
+#: Corpus kind of a differential failure on the synthetic path (its
+#: verdict counts as DIFFERENTIAL); replay re-profiles the program and
+#: diffs the synthesized trace instead of the execution-driven run.
+SYNTHETIC_DIFFERENTIAL = "synthetic-differential"
 
 
 @dataclass(frozen=True)
@@ -186,21 +193,51 @@ class FuzzReport:
         }
 
 
+def _case_profile(program, n_instructions: int, case: FuzzCase):
+    """Run *program* and profile it on the case's machine shape."""
+    from repro.core.profiler import profile_trace
+    from repro.frontend.functional import run_program
+
+    trace = run_program(program, n_instructions, warmup=case.warmup)
+    return profile_trace(trace, case.machine_config(), order=case.order)
+
+
+def _case_synthetic(profile, case: FuzzCase):
+    """The case's scalar synthetic trace (columns) from *profile*."""
+    from repro.core.synthesis import generate_synthetic_trace
+
+    return generate_synthetic_trace(profile, case.reduction_factor,
+                                    seed=case.synthesis_seed)
+
+
 def _acceptance_fails(program, n_instructions: int, case: FuzzCase,
                       tolerances: ToleranceConfig) -> bool:
     """Re-run the statistical loop on a shrunken program; True = still
     out of tolerance (the minimization predicate for acceptance
     failures)."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
-
-    config = case.machine_config()
-    trace = run_program(program, n_instructions, warmup=case.warmup)
-    profile = profile_trace(trace, config, order=case.order)
-    synthetic = generate_synthetic_trace(profile, case.reduction_factor,
-                                         seed=case.synthesis_seed)
+    profile = _case_profile(program, n_instructions, case)
+    synthetic = _case_synthetic(profile, case).to_synthetic_trace()
     return not acceptance_report(profile, synthetic, tolerances).passed
+
+
+def _synthetic_diff(program, n_instructions: int, case: FuzzCase):
+    """Profile and synthesize *program* as the case does, then diff the
+    trace through the production synthetic path (the replay and
+    minimization twin of evaluate_case's synthetic leg)."""
+    profile = _case_profile(program, n_instructions, case)
+    return diff_synthetic(_case_synthetic(profile, case),
+                          case.machine_config())
+
+
+def _synthetic_diff_fails(program, n_instructions: int,
+                          case: FuzzCase) -> bool:
+    """Minimization predicate for synthetic-path divergences; a shrunk
+    program that no longer synthesizes does not reproduce."""
+    try:
+        return not _synthetic_diff(program, n_instructions,
+                                   case).identical
+    except SynthesisError:
+        return False
 
 
 def _vector_synthetic(profile, case: FuzzCase):
@@ -217,23 +254,38 @@ def _vector_fails(program, n_instructions: int, case: FuzzCase,
                   tolerances: ToleranceConfig) -> bool:
     """Minimization predicate for vector failures: True while the
     columnar draws stay out of tolerance on the shrunken program."""
-    from repro.core.profiler import profile_trace
-    from repro.frontend.functional import run_program
-
-    config = case.machine_config()
-    trace = run_program(program, n_instructions, warmup=case.warmup)
-    profile = profile_trace(trace, config, order=case.order)
+    profile = _case_profile(program, n_instructions, case)
     synthetic = _vector_synthetic(profile, case)
     return not acceptance_report(profile, synthetic, tolerances).passed
+
+
+def _minimize_and_file(verdict: CaseVerdict, case: FuzzCase,
+                       policy: FuzzPolicy, chaos, program, kind: str,
+                       report, still_fails,
+                       max_trials: int) -> CaseVerdict:
+    """Shrink a failing case's program while *still_fails* holds and
+    file the reproducer in the corpus, each as *policy* asks."""
+    if policy.minimize:
+        minimized = minimize_program(program, case.trace_instructions,
+                                     still_fails, max_trials=max_trials)
+        get_registry().counter("fuzz.minimized").inc()
+        verdict.minimization = minimized.to_dict()
+        program = minimized.program
+    if policy.corpus_dir:
+        entry = CorpusEntry(
+            case_id=case.case_id, kind=kind, case=case.to_dict(),
+            report=report.to_dict(), program=program_to_dict(program),
+            minimization=verdict.minimization,
+            chaos_spec=(chaos.to_spec()
+                        if hasattr(chaos, "to_spec") else None),
+            skew_injected=verdict.skew_injected)
+        verdict.corpus_path = save_entry(policy.corpus_dir, entry)
+    return verdict
 
 
 def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
                   chaos=None) -> CaseVerdict:
     """Run the differential + acceptance checks for one case."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
-
     registry = get_registry()
     config = case.machine_config()
     program = case.program()
@@ -253,36 +305,33 @@ def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
                                   status=DIFFERENTIAL,
                                   detail=diff.summary(),
                                   skew_injected=diff.skew_injected)
-            if policy.minimize:
-                minimized = minimize_program(
-                    program, case.trace_instructions,
-                    lambda prog, n: not diff_program(
-                        prog, config, n, warmup=case.warmup,
-                        chaos=chaos, token=case.case_id).identical,
-                    max_trials=policy.max_trials)
-                registry.counter("fuzz.minimized").inc()
-                verdict.minimization = minimized.to_dict()
-                program = minimized.program
-            if policy.corpus_dir:
-                entry = CorpusEntry(
-                    case_id=case.case_id, kind=DIFFERENTIAL,
-                    case=case.to_dict(), report=diff.to_dict(),
-                    program=program_to_dict(program),
-                    minimization=verdict.minimization,
-                    chaos_spec=(chaos.to_spec()
-                                if hasattr(chaos, "to_spec") else None),
-                    skew_injected=diff.skew_injected)
-                verdict.corpus_path = save_entry(policy.corpus_dir, entry)
-            return verdict
+            return _minimize_and_file(
+                verdict, case, policy, chaos, program, DIFFERENTIAL, diff,
+                lambda prog, n: not diff_program(
+                    prog, config, n, warmup=case.warmup,
+                    chaos=chaos, token=case.case_id).identical,
+                policy.max_trials)
 
         # ---- layer 2: statistical acceptance ------------------------
-        trace = run_program(program, case.trace_instructions,
-                            warmup=case.warmup)
-        profile = profile_trace(trace, config, order=case.order)
-        synthetic = generate_synthetic_trace(profile,
-                                             case.reduction_factor,
-                                             seed=case.synthesis_seed)
-        report = acceptance_report(profile, synthetic, policy.tolerances)
+        profile = _case_profile(program, case.trace_instructions, case)
+        synthetic = _case_synthetic(profile, case)
+        diff = diff_synthetic(synthetic, config)
+        if not diff.identical:
+            registry.counter("fuzz.differential").inc()
+            obs.warn(f"{case.case_id}: pipelines diverged on the "
+                     f"synthetic trace ({diff.summary()})",
+                     event="fuzz.divergence", case=case.case_id,
+                     injected=False)
+            verdict = CaseVerdict(case_id=case.case_id,
+                                  status=DIFFERENTIAL,
+                                  detail=f"synthetic: {diff.summary()}")
+            return _minimize_and_file(
+                verdict, case, policy, chaos, program,
+                SYNTHETIC_DIFFERENTIAL, diff,
+                lambda prog, n: _synthetic_diff_fails(prog, n, case),
+                max(1, policy.max_trials // 4))
+        report = acceptance_report(profile, synthetic.to_synthetic_trace(),
+                                   policy.tolerances)
         margins = {check.name: check.margin for check in report.checks}
         if report.passed:
             # ---- layer 3 (--vector): columnar draws vs profile ------
@@ -305,28 +354,12 @@ def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
                                           status=VECTOR,
                                           detail=vector_report.summary(),
                                           margins=margins)
-                    if policy.minimize:
-                        minimized = minimize_program(
-                            program, case.trace_instructions,
-                            lambda prog, n: _vector_fails(
-                                prog, n, case, policy.tolerances),
-                            max_trials=max(1, policy.max_trials // 4))
-                        registry.counter("fuzz.minimized").inc()
-                        verdict.minimization = minimized.to_dict()
-                        program = minimized.program
-                    if policy.corpus_dir:
-                        entry = CorpusEntry(
-                            case_id=case.case_id, kind=VECTOR,
-                            case=case.to_dict(),
-                            report=vector_report.to_dict(),
-                            program=program_to_dict(program),
-                            minimization=verdict.minimization,
-                            chaos_spec=(chaos.to_spec()
-                                        if hasattr(chaos, "to_spec")
-                                        else None))
-                        verdict.corpus_path = save_entry(
-                            policy.corpus_dir, entry)
-                    return verdict
+                    return _minimize_and_file(
+                        verdict, case, policy, chaos, program, VECTOR,
+                        vector_report,
+                        lambda prog, n: _vector_fails(
+                            prog, n, case, policy.tolerances),
+                        max(1, policy.max_trials // 4))
             registry.counter("fuzz.ok").inc()
             return CaseVerdict(case_id=case.case_id, status=OK,
                                margins=margins)
@@ -337,25 +370,11 @@ def evaluate_case(case: FuzzCase, policy: FuzzPolicy,
                  event="fuzz.acceptance_failure", case=case.case_id)
         verdict = CaseVerdict(case_id=case.case_id, status=ACCEPTANCE,
                               detail=report.summary(), margins=margins)
-        if policy.minimize:
-            minimized = minimize_program(
-                program, case.trace_instructions,
-                lambda prog, n: _acceptance_fails(prog, n, case,
-                                                  policy.tolerances),
-                max_trials=max(1, policy.max_trials // 4))
-            registry.counter("fuzz.minimized").inc()
-            verdict.minimization = minimized.to_dict()
-            program = minimized.program
-        if policy.corpus_dir:
-            entry = CorpusEntry(
-                case_id=case.case_id, kind=ACCEPTANCE,
-                case=case.to_dict(), report=report.to_dict(),
-                program=program_to_dict(program),
-                minimization=verdict.minimization,
-                chaos_spec=(chaos.to_spec()
-                            if hasattr(chaos, "to_spec") else None))
-            verdict.corpus_path = save_entry(policy.corpus_dir, entry)
-        return verdict
+        return _minimize_and_file(
+            verdict, case, policy, chaos, program, ACCEPTANCE, report,
+            lambda prog, n: _acceptance_fails(prog, n, case,
+                                              policy.tolerances),
+            max(1, policy.max_trials // 4))
 
 
 def run_fuzz(policy: FuzzPolicy, chaos=_ENV_CHAOS,
@@ -434,10 +453,6 @@ def replay_entry(path: str,
                  tolerances: ToleranceConfig = ToleranceConfig()
                  ) -> ReplayResult:
     """Replay one corpus entry; green means the pinned bug stays fixed."""
-    from repro.core.profiler import profile_trace
-    from repro.core.synthesis import generate_synthetic_trace
-    from repro.frontend.functional import run_program
-
     entry = load_entry(path)
     case = case_from_dict(entry.case)
     config = case.machine_config()
@@ -452,14 +467,18 @@ def replay_entry(path: str,
                             kind=entry.kind, passed=diff.identical,
                             detail=("" if diff.identical
                                     else diff.summary()))
+    if entry.kind == SYNTHETIC_DIFFERENTIAL:
+        diff = _synthetic_diff(program, n_instructions, case)
+        return ReplayResult(path=path, case_id=entry.case_id,
+                            kind=entry.kind, passed=diff.identical,
+                            detail=("" if diff.identical
+                                    else diff.summary()))
     if entry.kind in (ACCEPTANCE, VECTOR):
-        trace = run_program(program, n_instructions, warmup=case.warmup)
-        profile = profile_trace(trace, config, order=case.order)
+        profile = _case_profile(program, n_instructions, case)
         if entry.kind == VECTOR:
             synthetic = _vector_synthetic(profile, case)
         else:
-            synthetic = generate_synthetic_trace(
-                profile, case.reduction_factor, seed=case.synthesis_seed)
+            synthetic = _case_synthetic(profile, case).to_synthetic_trace()
         report = acceptance_report(profile, synthetic, tolerances)
         return ReplayResult(path=path, case_id=entry.case_id,
                             kind=entry.kind, passed=report.passed,

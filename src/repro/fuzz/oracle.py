@@ -7,6 +7,9 @@ diffs the results field-for-field: cycles, IPC, per-stage occupancies,
 activity counters, branch/squash accounting, and the full retirement
 schedule (``(cycle, pseq)`` commit logs).  The two implementations are
 required to be *bit-identical*; any divergence is a bug in one of them.
+:func:`diff_program` covers execution-driven runs; :func:`diff_synthetic`
+covers the production synthetic path (a columnar trace through
+:class:`~repro.cpu.source.ColumnarSource`).
 
 The ``pipeline-skew`` chaos site lets tests and CI canaries prove the
 oracle actually fires: when the active :class:`~repro.faults.ChaosPlan`
@@ -26,7 +29,8 @@ from repro.config import MachineConfig
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
 from repro.cpu.results import SimulationResult
-from repro.cpu.source import ExecutionDrivenSource, FetchSlot, PreannotatedSource
+from repro.cpu.source import (ColumnarSource, ExecutionDrivenSource,
+                              FetchSlot, PreannotatedSource)
 from repro.frontend.functional import run_program
 from repro.isa.program import Program
 
@@ -185,6 +189,23 @@ def diff_program(program: Program, config: MachineConfig,
         lambda: ExecutionDrivenSource(trace, config),
         chaos=chaos,
         token=token,
+    )
+
+
+def diff_synthetic(trace, config: MachineConfig) -> DifferentialReport:
+    """Differential check of the production synthetic path.
+
+    *trace* is a :class:`~repro.core.synthetic.ColumnarTrace`: the
+    optimized side simulates it exactly as ``simulate_synthetic_trace``
+    does (:class:`ColumnarSource` into the columnar loop, or the
+    generic loop for in-order issue), the reference replays the same
+    instructions as ``to_fetch_slots`` output.
+    """
+    slots = trace.to_synthetic_trace().to_fetch_slots(config)
+    return diff_sources(
+        config,
+        lambda: PreannotatedSource(slots),
+        lambda: ColumnarSource(trace, config),
     )
 
 

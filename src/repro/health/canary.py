@@ -45,7 +45,7 @@ def _policy() -> Optional[HealthPolicy]:
 
 def maybe_check_columnar(profile, columnar) -> None:
     """Run the sampled canary against *columnar* (a
-    :class:`~repro.core.columnar.ColumnarTrace`) freshly drawn from
+    :class:`~repro.core.synthetic.ColumnarTrace`) freshly drawn from
     *profile*; no-op outside the sampling schedule."""
     global _EVALS
     policy = _policy()

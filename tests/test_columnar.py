@@ -34,10 +34,7 @@ from repro.core.columnar import (
     generate_columnar_trace,
 )
 from repro.core.profiler import profile_trace
-from repro.core.synthesis import (
-    generate_synthetic_trace,
-    generate_synthetic_trace_columnar,
-)
+from repro.core.synthesis import generate_synthetic_trace
 from repro.cpu.pipeline import SuperscalarPipeline, simulate
 from repro.cpu.source import ColumnarSource, PreannotatedSource
 from repro.fuzz.acceptance import ToleranceConfig, acceptance_report
@@ -61,10 +58,8 @@ class TestColumnarSynthesis:
         differ between the streams."""
         scalar = generate_synthetic_trace(profile, 3.0, seed=5)
         columnar = generate_columnar_trace(profile, 3.0, seed=5)
-        assert len(columnar.iclass) == len(scalar.instructions)
-        scalar_classes = np.bincount(
-            [int(inst.iclass) for inst in scalar.instructions],
-            minlength=16)
+        assert len(columnar.iclass) == len(scalar.iclass)
+        scalar_classes = np.bincount(scalar.iclass, minlength=16)
         columnar_classes = np.bincount(columnar.iclass, minlength=16)
         assert scalar_classes.tolist() == columnar_classes.tolist()
 
@@ -73,7 +68,8 @@ class TestColumnarSynthesis:
         acceptance against the profile as the scalar stream."""
         tolerances = ToleranceConfig()
         scalar = generate_synthetic_trace(profile, 2.0, seed=0)
-        report = acceptance_report(profile, scalar, tolerances)
+        report = acceptance_report(profile, scalar.to_synthetic_trace(),
+                                   tolerances)
         assert report.passed, f"scalar baseline: {report.summary()}"
         columnar = generate_columnar_trace(profile, 2.0, seed=0)
         report = acceptance_report(profile,
@@ -95,12 +91,19 @@ class TestColumnarSynthesis:
         materialized = columnar.to_synthetic_trace()
         assert columnar.summary() == materialized.summary()
 
-    def test_public_wrapper_is_the_columnar_generator(self, profile):
-        trace = generate_synthetic_trace_columnar(profile, 4.0, seed=2)
-        assert isinstance(trace, ColumnarTrace)
-        twin = generate_columnar_trace(profile, 4.0, seed=2)
-        assert np.array_equal(trace.iclass, twin.iclass)
-        assert np.array_equal(trace.dep_val, twin.dep_val)
+    def test_scalar_generator_returns_columns(self, profile):
+        """One trace format: the scalar generator returns the same
+        ColumnarTrace as the vector one, with the same column types;
+        the two differ only in their draw stream."""
+        scalar = generate_synthetic_trace(profile, 4.0, seed=2)
+        vector = generate_columnar_trace(profile, 4.0, seed=2)
+        assert isinstance(scalar, ColumnarTrace)
+        for name in ("iclass", "dep_off", "dep_val", "il1", "l2i", "itlb",
+                     "dl1", "l2d", "dtlb", "taken", "outcome"):
+            assert getattr(scalar, name).dtype == \
+                getattr(vector, name).dtype, name
+        assert np.array_equal(np.bincount(scalar.iclass, minlength=16),
+                              np.bincount(vector.iclass, minlength=16))
 
     def test_dependency_distances_within_bounds(self, profile):
         columnar = generate_columnar_trace(profile, 2.0, seed=0)
@@ -208,8 +211,7 @@ class TestEndToEndAgreement:
     EPSILON = 0.15
 
     def test_seed_averaged_ipc_agrees(self, profile, config):
-        from repro.core.framework import (simulate_columnar_trace,
-                                          simulate_synthetic_trace)
+        from repro.core.framework import simulate_synthetic_trace
 
         seeds = range(6)
         scalar_ipc = []
@@ -220,7 +222,7 @@ class TestEndToEndAgreement:
             scalar_ipc.append(
                 simulate_synthetic_trace(scalar, config)[0].ipc)
             vector_ipc.append(
-                simulate_columnar_trace(columnar, config)[0].ipc)
+                simulate_synthetic_trace(columnar, config)[0].ipc)
         scalar_mean = sum(scalar_ipc) / len(scalar_ipc)
         vector_mean = sum(vector_ipc) / len(vector_ipc)
         assert abs(vector_mean - scalar_mean) / scalar_mean \

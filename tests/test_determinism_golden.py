@@ -87,7 +87,7 @@ def _case_payload(profile, config, seed):
         "order": ORDER,
         "reduction_factor": REDUCTION_FACTOR,
         "seed": seed,
-        "trace": _trace_payload(synthetic),
+        "trace": _trace_payload(synthetic.to_synthetic_trace()),
         "result": _result_payload(result),
     }
 

@@ -79,6 +79,18 @@ class TestSweepCommand:
         assert payload["serial_seconds"] > 0
         assert payload["parallel_seconds"] > 0
 
+    def test_bench_mode_without_jobs_times_a_parallel_leg(self, capsys,
+                                                         tmp_path):
+        """Omitting -j must not compare serial against serial."""
+        sweep = write_sweep(tmp_path)
+        bench = tmp_path / "BENCH_dse.json"
+        assert main(["dse", "--sweep", sweep, "--benchmark", "gzip",
+                     "--seeds", "0", "-R", "4",
+                     "--bench", str(bench)]) == 0
+        payload = json.loads(bench.read_text())
+        assert payload["jobs"] >= 2
+        assert payload["metrics_identical"] is True
+
 
 class TestExperimentRewiring:
     def test_sec46_supports_jobs_and_cache(self, tmp_path):

@@ -18,7 +18,7 @@ from repro.core.framework import (
 from repro.core.profiler import profile_trace
 from repro.core.reduction import reduce_flow_graph
 from repro.core.synthesis import generate_synthetic_trace
-from repro.core.synthetic import SyntheticTrace
+from repro.core.synthetic import ColumnarTrace, SyntheticTrace
 from repro.workloads.behaviors import PatternBehavior
 
 
@@ -59,7 +59,8 @@ class TestTinyInputs:
     def test_simulating_empty_synthetic_trace(self, config):
         empty = SyntheticTrace(name="empty", instructions=[], order=1,
                                reduction_factor=1)
-        result, power = simulate_synthetic_trace(empty, config)
+        result, power = simulate_synthetic_trace(
+            ColumnarTrace.from_synthetic(empty), config)
         assert result.instructions == 0
         assert power.total > 0  # idle power remains
 

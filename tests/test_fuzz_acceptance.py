@@ -22,7 +22,7 @@ def profile_and_synthetic():
     trace = run_program(case.program(), 3000)
     profile = profile_trace(trace, config, order=1)
     synthetic = generate_synthetic_trace(profile, 4.0, seed=3)
-    return profile, synthetic
+    return profile, synthetic.to_synthetic_trace()
 
 
 class TestAcceptance:

@@ -1,13 +1,19 @@
-"""Differential oracle: identical pipelines, injected skew, logs."""
+"""Differential oracle: identical pipelines, injected skew, logs, and
+the production synthetic path against the reference."""
+
+from dataclasses import replace
 
 from repro.config import baseline_config
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
-from repro.cpu.source import ExecutionDrivenSource
+from repro.cpu.source import ColumnarSource, ExecutionDrivenSource
 from repro.faults import ChaosPlan
 from repro.frontend.functional import run_program
+from repro.fuzz.corpus import load_entry
 from repro.fuzz.generator import random_case
-from repro.fuzz.oracle import diff_program, diff_slots
+from repro.fuzz.harness import (DIFFERENTIAL, SYNTHETIC_DIFFERENTIAL,
+                                FuzzPolicy, evaluate_case, replay_entry)
+from repro.fuzz.oracle import diff_program, diff_slots, diff_synthetic
 
 
 def _small_case():
@@ -51,7 +57,8 @@ class TestIdenticalPipelines:
         trace = run_program(case.program(), 1500)
         profile = profile_trace(trace, config, order=1)
         synthetic = generate_synthetic_trace(profile, 3.0, seed=2)
-        report = diff_slots(synthetic.to_fetch_slots(config), config)
+        report = diff_slots(
+            synthetic.to_synthetic_trace().to_fetch_slots(config), config)
         assert report.identical
 
 
@@ -95,3 +102,53 @@ class TestInjectedSkew:
         assert data["identical"] is False
         assert data["skew_injected"] is True
         assert data["field_diffs"][0]["field"] == "cycles"
+
+
+def _synthesized(case, n_instructions=1500):
+    from repro.core.profiler import profile_trace
+    from repro.core.synthesis import generate_synthetic_trace
+
+    config = case.machine_config()
+    trace = run_program(case.program(), n_instructions)
+    profile = profile_trace(trace, config, order=1)
+    return generate_synthetic_trace(profile, 3.0, seed=2), config
+
+
+class _SlowColumnarSource(ColumnarSource):
+    """A column-resolution defect: every instruction one cycle slower
+    than the reference's fetch slots say."""
+
+    def __init__(self, trace, config):
+        super().__init__(trace, config)
+        self.rows = [(row[0] + 1,) + row[1:] for row in self.rows]
+
+
+class TestSyntheticPath:
+    def test_diff_synthetic_reports_identical(self):
+        synthetic, config = _synthesized(_small_case())
+        assert diff_synthetic(synthetic, config).identical
+
+    def test_diff_synthetic_covers_in_order_fallback(self):
+        synthetic, config = _synthesized(_small_case())
+        in_order = replace(config, in_order_issue=True)
+        assert diff_synthetic(synthetic, in_order).identical
+
+    def test_harness_files_and_replays_synthetic_divergence(
+            self, tmp_path, monkeypatch):
+        import repro.fuzz.oracle as oracle
+
+        monkeypatch.setattr(oracle, "ColumnarSource", _SlowColumnarSource)
+        policy = FuzzPolicy(corpus_dir=str(tmp_path), max_trials=8)
+        verdict = evaluate_case(random_case(0, 0), policy)
+        assert verdict.status == DIFFERENTIAL
+        assert verdict.detail.startswith("synthetic: ")
+        assert verdict.minimization
+        entry = load_entry(verdict.corpus_path)
+        assert entry.kind == SYNTHETIC_DIFFERENTIAL
+
+        # While the defect persists, replay reports it as regressed;
+        # once the columnar path is healthy again it replays green.
+        assert not replay_entry(verdict.corpus_path).passed
+        monkeypatch.undo()
+        result = replay_entry(verdict.corpus_path)
+        assert result.passed, result.detail

@@ -5,8 +5,10 @@ fast-forward, pooled ``_Inflight`` records, ring-buffer RUU/IFQ) must
 produce a *field-for-field identical* :class:`SimulationResult` to the
 frozen cycle-by-cycle loop in :mod:`repro.cpu.reference` — same cycle
 count, same occupancy averages, same activity counts — for every
-configuration and source type.  Any intentional behaviour change must
-update both implementations together.
+configuration and source type.  That includes the production synthetic
+path, :class:`~repro.cpu.source.ColumnarSource` through the columnar
+loop, which carries every synthetic trace.  Any intentional behaviour
+change must update both implementations together.
 """
 
 from dataclasses import replace
@@ -18,7 +20,8 @@ from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
 from repro.cpu.pipeline import SuperscalarPipeline
 from repro.cpu.reference import ReferencePipeline
-from repro.cpu.source import ExecutionDrivenSource, PreannotatedSource
+from repro.cpu.source import (ColumnarSource, ExecutionDrivenSource,
+                              PreannotatedSource)
 from repro.isa.iclass import IClass
 from repro.branch.unit import BranchOutcome
 from repro.cpu.source import FetchSlot
@@ -82,12 +85,22 @@ def synthetic_trace(request):
 
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_synthetic_source_identical(synthetic_trace, variant):
-    _profile, synthetic = synthetic_trace
+    """The reference replaying fetch slots against both optimized
+    paths: the generic loop on the same slots, and the production path
+    (ColumnarSource into the columnar loop; in-order issue takes its
+    generic-loop fallback) — full result and commit log."""
+    _profile, columns = synthetic_trace
     config = _config(variant)
-    slots = synthetic.to_fetch_slots(config)
-    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run()
-    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run()
-    _assert_identical(new, old)
+    slots = columns.to_synthetic_trace().to_fetch_slots(config)
+    ref_log = []
+    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run(
+        commit_log=ref_log)
+    for source in (PreannotatedSource(list(slots)),
+                   ColumnarSource(columns, config)):
+        log = []
+        new = SuperscalarPipeline(config, source).run(commit_log=log)
+        _assert_identical(new, old)
+        assert log == ref_log, type(source).__name__
 
 
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))

@@ -19,7 +19,7 @@ def profile(small_trace, config):
 
 @pytest.fixture
 def synthetic(profile):
-    return generate_synthetic_trace(profile, 2, seed=0)
+    return generate_synthetic_trace(profile, 2, seed=0).to_synthetic_trace()
 
 
 class TestProfileRates:
@@ -60,7 +60,8 @@ class TestSyntheticRates:
 class TestDriftReport:
     def test_low_reduction_low_drift(self, profile):
         synthetic = generate_synthetic_trace(profile, 1, seed=0)
-        report = drift_report(profile, synthetic, threshold=0.08)
+        report = drift_report(profile, synthetic.to_synthetic_trace(),
+                              threshold=0.08)
         # Mix, branch and distance characteristics reproduce closely at
         # R=1; dependency *counts* legitimately drift (step 4 squashes
         # dependencies whose sampled producer lands on a branch/store).
@@ -72,7 +73,7 @@ class TestDriftReport:
     def test_dependency_squashing_is_visible(self, profile):
         # The diagnostic exists to surface exactly this effect.
         synthetic = generate_synthetic_trace(profile, 1, seed=0)
-        report = drift_report(profile, synthetic)
+        report = drift_report(profile, synthetic.to_synthetic_trace())
         entry = report["dependencies_per_instruction"]
         assert entry["realized"] <= entry["expected"]
 
