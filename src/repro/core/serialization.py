@@ -61,11 +61,6 @@ def config_from_dict(data: Dict) -> MachineConfig:
     return MachineConfig(**data)
 
 
-# Former private names, kept as aliases for existing internal callers.
-_config_to_dict = config_to_dict
-_config_from_dict = config_from_dict
-
-
 def _histogram_to_list(histogram: Dict[int, int]) -> List[List[int]]:
     return [[key, count] for key, count in sorted(histogram.items())]
 
@@ -119,7 +114,7 @@ def profile_to_dict(profile: StatisticalProfile) -> Dict:
         "branch_mode": profile.branch_mode,
         "perfect_caches": profile.perfect_caches,
         "trace_instructions": profile.trace_instructions,
-        "config": _config_to_dict(profile.config),
+        "config": config_to_dict(profile.config),
         "total_block_executions": sfg.total_block_executions,
         "transitions": [
             [list(history), {str(block): count
@@ -214,7 +209,7 @@ def profile_from_dict(data: Dict) -> StatisticalProfile:
             trace_instructions=data["trace_instructions"],
             branch_mode=data["branch_mode"],
             perfect_caches=data["perfect_caches"],
-            config=_config_from_dict(data["config"]),
+            config=config_from_dict(data["config"]),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ArtifactCorruptError(

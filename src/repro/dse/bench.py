@@ -26,7 +26,7 @@ from repro.obs.tracing import phase_breakdown
 from repro.dse.engine import SweepEngine, SweepResult
 from repro.dse.cache import ResultCache
 from repro.dse.space import SweepSpec
-from repro.dse.study import profile_benchmark
+from repro.dse.study import study_profile
 
 BENCH_SCHEMA = 2
 
@@ -65,7 +65,7 @@ def run_dse_bench(
 
     log = log or (lambda message: None)
     phases_before = phase_breakdown()
-    profile, _warm, _trace = profile_benchmark(benchmark, scale)
+    profile, _ = study_profile(benchmark, scale)
     points = spec.expand()
     seeds = tuple(seeds if seeds is not None else scale.seeds)
 

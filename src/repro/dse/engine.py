@@ -470,7 +470,8 @@ class SweepEngine:
     # -- task construction ---------------------------------------------
 
     def _task(self, index: int, point: DesignPoint, seed: int,
-              reduction_factor: float) -> Dict[str, Any]:
+              reduction_factor: float, key: str) -> Dict[str, Any]:
+        """The dispatch payload of one cache-missing evaluation."""
         from repro.core.serialization import config_to_dict
 
         return {
@@ -487,10 +488,7 @@ class SweepEngine:
                 seed),
             "reduction_factor": reduction_factor,
             "vector": self.vector,
-            "key": result_key(self.profile_hash, point.config_hash,
-                              seed, reduction_factor,
-                              mode="vector" if self.vector
-                              else "scalar"),
+            "key": key,
         }
 
     # -- execution paths -----------------------------------------------
@@ -694,10 +692,12 @@ class SweepEngine:
 
         pending: List[Dict[str, Any]] = []
         cached = 0
+        mode = "vector" if self.vector else "scalar"
         for index, point in enumerate(points):
             for seed in seeds:
-                task = self._task(index, point, seed, reduction_factor)
-                entry = self.cache.get(task["key"]) \
+                key = result_key(self.profile_hash, point.config_hash,
+                                 seed, reduction_factor, mode=mode)
+                entry = self.cache.get(key) \
                     if self.cache is not None else None
                 if entry is not None and isinstance(
                         entry.get("metrics"), dict):
@@ -706,7 +706,10 @@ class SweepEngine:
                     result.cached_seeds += 1
                     cached += 1
                 else:
-                    pending.append(task)
+                    # Only misses pay for the task payload (its config
+                    # dict is a deep copy of the point's configuration).
+                    pending.append(self._task(index, point, seed,
+                                              reduction_factor, key))
 
         interrupted = False
         outcomes: List[Dict[str, Any]] = []

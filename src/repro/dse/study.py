@@ -2,15 +2,22 @@
 interesting region slowly (the paper's section 4.6 protocol).
 
 This is the orchestration layer shared by the ``sec46`` experiment, the
-``repro dse`` CLI command and the serial-vs-parallel benchmark: prepare
-a workload, measure its statistical profile, expand a
-:class:`~repro.dse.space.SweepSpec`, evaluate every point through the
-:class:`~repro.dse.engine.SweepEngine` (parallel and cached when asked),
-then re-check the shortlist with execution-driven simulation.
+``repro dse`` CLI command, the service's sweep jobs and the
+serial-vs-parallel benchmark: prepare a workload, measure its
+statistical profile, expand a :class:`~repro.dse.space.SweepSpec`,
+evaluate every point through the :class:`~repro.dse.engine.SweepEngine`
+(parallel and cached when asked), then re-check the shortlist with
+execution-driven simulation.
+
+The profile is measured once per process (the paper's Figure 1 split):
+:func:`study_profile` memoizes it per (benchmark, scale window), so
+repeated studies of one benchmark in a long-lived process (a
+``repro serve`` daemon) pay only for their sweeps.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -31,19 +38,71 @@ from repro.dse.space import SweepSpec
 from repro.dse.supervisor import SupervisorPolicy
 
 
+#: Fixed profiling arguments of every study (part of the memo key).
+PROFILE_ORDER = 1
+PROFILE_BRANCH_MODE = "delayed"
+
+
 def profile_benchmark(benchmark: str, scale) -> Tuple[Any, Any, Any]:
     """Prepare one workload and measure its statistical profile.
 
     Returns ``(profile, warmup_trace, reference_trace)``; the traces
-    are kept for the execution-driven verification pass.
+    are kept for the execution-driven verification pass.  Always
+    profiles afresh; :func:`study_profile` is the memoized entry point.
     """
     from repro.core.profiler import profile_trace
     from repro.experiments.common import prepare_benchmark, suite_config
 
     warm, trace = prepare_benchmark(benchmark, scale)
-    profile = profile_trace(trace, suite_config(), order=1,
-                            branch_mode="delayed", warmup_trace=warm)
+    profile = profile_trace(trace, suite_config(), order=PROFILE_ORDER,
+                            branch_mode=PROFILE_BRANCH_MODE,
+                            warmup_trace=warm)
     return profile, warm, trace
+
+
+# Process-lifetime profile memo.  Keys are bounded by the suite's
+# benchmarks x the scales in use, so no eviction.  Each key has its own
+# lock: concurrent misses on one key (daemon worker threads) profile
+# once, while different benchmarks still profile in parallel.
+_PROFILES: Dict[Tuple, Any] = {}
+_PROFILE_LOCKS: Dict[Tuple, threading.Lock] = {}
+_PROFILE_LOCKS_GUARD = threading.Lock()
+
+
+def study_profile(benchmark: str, scale
+                  ) -> Tuple[Any, Optional[Tuple[Any, Any]]]:
+    """The benchmark's statistical profile, measured once per process.
+
+    Returns ``(profile, traces)``: ``traces`` is the ``(warmup,
+    reference)`` pair when this call profiled (a memo miss), ``None``
+    on a hit.  Only the profile is memoized, and only on success.  A
+    hit counts ``dse.profile_reuse`` and emits ``profile_reused``.
+    """
+    from repro.experiments.common import suite_config
+    from repro.obs import events as obs_events
+    from repro.obs.metrics import get_registry
+
+    key = (benchmark, scale.warmup, scale.reference, suite_config(),
+           PROFILE_ORDER, PROFILE_BRANCH_MODE)
+    with _PROFILE_LOCKS_GUARD:
+        lock = _PROFILE_LOCKS.setdefault(key, threading.Lock())
+    with lock:
+        profile = _PROFILES.get(key)
+        if profile is None:
+            profile, warm, trace = profile_benchmark(benchmark, scale)
+            _PROFILES[key] = profile
+            return profile, (warm, trace)
+    get_registry().counter("dse.profile_reuse").inc()
+    obs_events.emit("profile_reused", level="debug", benchmark=benchmark,
+                    warmup=scale.warmup, reference=scale.reference)
+    return profile, None
+
+
+def clear_profile_memo() -> None:
+    """Forget every memoized profile (tests)."""
+    with _PROFILE_LOCKS_GUARD:
+        _PROFILES.clear()
+        _PROFILE_LOCKS.clear()
 
 
 @dataclass
@@ -116,9 +175,10 @@ def run_study(
     and hang-watchdog settings.
     """
     from repro.core.framework import run_execution_driven
+    from repro.experiments.common import prepare_benchmark
     from repro.power.wattch import energy_delay_product
 
-    profile, warm, trace = profile_benchmark(benchmark, scale)
+    profile, traces = study_profile(benchmark, scale)
     points = spec.expand(base_config)
     cache = ResultCache(cache_dir) if cache_dir else None
     engine = SweepEngine(profile, jobs=jobs, cache=cache, policy=policy,
@@ -142,6 +202,9 @@ def run_study(
     if not verify or sweep.interrupted:
         return study
 
+    # A memo hit keeps no traces; preparation is deterministic, so
+    # preparing again yields the windows the profile was measured on.
+    warm, trace = traces or prepare_benchmark(benchmark, scale)
     verified: List[Tuple[float, PointResult]] = []
     for candidate in study.shortlist:
         result, power = run_execution_driven(trace, candidate.point.config,
@@ -160,5 +223,6 @@ def run_study(
 
 
 __all__ = [
-    "StudyResult", "profile_benchmark", "run_study", "best_point",
+    "StudyResult", "clear_profile_memo", "profile_benchmark",
+    "run_study", "study_profile", "best_point",
 ]

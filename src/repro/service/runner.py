@@ -10,7 +10,9 @@ exist:
   verification stays an interactive decision).  Sharing ``cache_dir``
   across jobs is how two overlapping sweeps avoid duplicate
   evaluations: the promoted :class:`~repro.dse.cache.ResultCache` is
-  multi-process safe.
+  multi-process safe.  Jobs on one benchmark and scale also share its
+  statistical profile: ``run_study`` memoizes it for the daemon's
+  lifetime, so only a benchmark's first job prepares and profiles.
 * ``sleep`` — a do-nothing job of a known duration, used by the tests
   to exercise queueing, recovery and cancellation without paying for
   simulation.

@@ -34,6 +34,18 @@ def _reset_health_state():
     reset_ladder()
 
 
+@pytest.fixture(autouse=True)
+def _clear_profile_memo():
+    """Design-space studies memoize profiles for the process lifetime;
+    each test starts (and leaves) with an empty memo, so spans, events
+    and monkeypatched preparation behave as in a fresh process."""
+    from repro.dse.study import clear_profile_memo
+
+    clear_profile_memo()
+    yield
+    clear_profile_memo()
+
+
 def make_tiny_program(trip_count: int = 4) -> Program:
     """Two-block program: a loop body (block 0) iterated *trip_count*
     times per visit to the exit block (block 1).

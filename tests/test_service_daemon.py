@@ -384,6 +384,46 @@ class TestKillDashNine:
         assert second.returncode == 0
 
 
+class TestProfileReuse:
+    def test_second_sweep_job_reuses_the_profile(self, tmp_path):
+        """Two sweep jobs on one benchmark in one daemon: the second
+        takes the profile from the process memo, with identical
+        results.  A subprocess daemon keeps the counter process-fresh."""
+        state = tmp_path / "state"
+        spec = {"name": "reuse", "mode": "grid",
+                "parameters": {"ruu_size": [32, 64]}}
+        payloads = [{"kind": "sweep", "benchmark": "gzip",
+                     "scale": "quick", "spec": spec, "seeds": [0],
+                     "cache_dir": str(tmp_path / f"cache-{name}")}
+                    for name in ("a", "b")]
+        daemon = spawn_daemon(state, "--workers", "1")
+        try:
+            wait_for_socket(state / "service.sock")
+            client = ServiceClient(state / "service.sock",
+                                   client_id="reuse")
+            job_ids = [client.submit(payload)["job"]["job_id"]
+                       for payload in payloads]
+            for job_id in job_ids:
+                assert client.wait(job_id, timeout=120)["state"] \
+                    == "done"
+            counters = client.metrics()["metrics"]["counters"]
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            try:
+                daemon.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait(timeout=10)
+        assert counters.get("dse.profile_reuse") == 1
+        store = JobStore(state)
+        store.recover()
+        rows = [dict(store.get(job_id).result) for job_id in job_ids]
+        for result in rows:
+            assert result.pop("sweep_seconds") >= 0
+        assert rows[0] == rows[1]
+        assert rows[0]["evaluations"] == 2
+
+
 class TestMetricsVerb:
     def test_metrics_aggregates_and_renders(self, tmp_path):
         from repro.obs.exposition import validate_openmetrics
