@@ -34,6 +34,7 @@ from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
+from repro.frontend.warming import walk_window
 from repro.core.synthetic import (ColumnarTrace, SyntheticInstruction,
                                   SyntheticTrace)
 from repro.cpu.results import SimulationResult
@@ -63,7 +64,6 @@ class HLSProfile:
 
 def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     """Measure HLS's global statistical profile from a dynamic trace."""
-    hierarchy = CacheHierarchy(config)
     mix: Dict[IClass, int] = {}
     block_sizes: List[int] = []
     size = 0
@@ -72,7 +72,6 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
     operands_total = 0
     operands_with_dep = 0
     last_writer: Dict[int, int] = {}
-    loads = 0
 
     for inst in trace.instructions:
         mix[inst.iclass] = mix.get(inst.iclass, 0) + 1
@@ -89,14 +88,12 @@ def hls_profile(trace: Trace, config: MachineConfig) -> HLSProfile:
                 distance_hist[distance] = distance_hist.get(distance, 0) + 1
         if inst.dst_reg is not None:
             last_writer[inst.dst_reg] = inst.seq
-        hierarchy.access_instruction(inst.pc)
-        if inst.mem_addr is not None:
-            hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
-            loads += inst.is_load
         if inst.is_branch:
             block_sizes.append(size)
             size = 0
 
+    hierarchy = CacheHierarchy(config)
+    walk_window(trace, config, hierarchy=hierarchy)
     records = profile_branches_delayed(
         trace, BranchPredictorUnit(config.predictor),
         fifo_size=config.ifq_size)

@@ -34,6 +34,7 @@ from repro.frontend.trace import Trace
 from repro.branch.profiler import profile_branches_delayed
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
+from repro.frontend.warming import walk_window
 from repro.core.synthetic import (ColumnarTrace, SyntheticInstruction,
                                   SyntheticTrace)
 from repro.cpu.results import SimulationResult
@@ -74,17 +75,15 @@ class _GlobalStats:
 
 
 def _measure_globals(trace: Trace, config: MachineConfig) -> _GlobalStats:
-    hierarchy = CacheHierarchy(config)
     sizes: Dict[int, int] = {}
     count = 0
     for inst in trace.instructions:
         count += 1
-        hierarchy.access_instruction(inst.pc)
-        if inst.mem_addr is not None:
-            hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
         if inst.is_branch:
             sizes[count] = sizes.get(count, 0) + 1
             count = 0
+    hierarchy = CacheHierarchy(config)
+    walk_window(trace, config, hierarchy=hierarchy)
     records = profile_branches_delayed(
         trace, BranchPredictorUnit(config.predictor),
         fifo_size=config.ifq_size)

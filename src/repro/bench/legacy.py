@@ -26,7 +26,7 @@ from repro.config import MachineConfig
 from repro.errors import SynthesisError
 from repro.frontend.trace import Trace
 from repro.isa.iclass import BRANCH_CLASSES, IClass
-from repro.branch.unit import BranchOutcome
+from repro.branch.unit import BranchOutcome, BranchPredictorUnit
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.profiler import (
     BRANCH_MODES,
@@ -247,6 +247,25 @@ def legacy_generate_synthetic_trace(
     )
 
 
+def _legacy_warm(warmup_trace: Optional[Trace], config: MachineConfig):
+    """The pre-overhaul functional warm-up: one ``access_instruction``/
+    ``access_data`` call per warm-up instruction, interleaved with
+    predictor training."""
+    hierarchy = CacheHierarchy(config)
+    predictor = BranchPredictorUnit(config.predictor)
+    if warmup_trace is not None:
+        for inst in warmup_trace.instructions:
+            hierarchy.access_instruction(inst.pc)
+            if inst.mem_addr is not None:
+                hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
+            if inst.is_branch:
+                predictor.train(inst)
+        hierarchy.reset_statistics()
+        predictor.lookups = 0
+        predictor.updates = 0
+    return hierarchy, predictor
+
+
 def legacy_profile_trace(trace: Trace, config: MachineConfig,
                          order: int = 1,
                          branch_mode: str = "delayed",
@@ -255,8 +274,6 @@ def legacy_profile_trace(trace: Trace, config: MachineConfig,
                          ) -> StatisticalProfile:
     """The pre-overhaul ``profile_trace`` (per-block context lookups,
     dict-backed distance histograms, dense per-slot event buffers)."""
-    from repro.frontend.warming import warm_locality_structures
-
     if order < 0:
         raise ProfileError("order must be >= 0")
     if branch_mode not in BRANCH_MODES:
@@ -265,8 +282,7 @@ def legacy_profile_trace(trace: Trace, config: MachineConfig,
         )
 
     sfg = StatisticalFlowGraph(order)
-    warm_hierarchy, warm_unit = warm_locality_structures(warmup_trace,
-                                                         config)
+    warm_hierarchy, warm_unit = _legacy_warm(warmup_trace, config)
     branch_records = _branch_records(trace, config, branch_mode,
                                      unit=warm_unit)
     hierarchy: Optional[CacheHierarchy] = (

@@ -53,6 +53,9 @@ def profile_branches_delayed(
     updates when it leaves (dispatch-time speculative update); a
     misprediction detected at removal squashes the FIFO contents, whose
     stale lookups are discarded and redone against the updated state.
+    The discarded lookups are not undone: a BTB hit among them already
+    refreshed that entry's LRU recency, and the redo refreshes it again
+    (see :class:`~repro.branch.unit.BranchPredictorUnit`).
 
     Returns one record per dynamic branch, in trace order.
     """

@@ -49,12 +49,18 @@ class BranchRecord:
 class BranchPredictorUnit:
     """Direction predictor + BTB (+ RAS), with lookup/update split.
 
-    ``classify`` performs a *lookup only* — no state changes — returning
-    the :class:`BranchOutcome` the fetch engine would see given the
-    predictor's current state.  ``train`` applies the resolved outcome.
+    ``classify`` performs a *lookup*, returning the
+    :class:`BranchOutcome` the fetch engine would see given the
+    predictor's current state; ``train`` applies the resolved outcome.
     Separating the two is what lets callers model immediate update,
     delayed update (section 2.1.3) and dispatch-time speculative update
     in the pipeline.
+
+    A lookup trains nothing, but it is not free of side effects: it
+    counts in ``lookups``, and a BTB hit refreshes that entry's LRU
+    recency (as a hardware BTB read does), which can change which entry
+    a later ``train`` evicts.  So every lookup leaves a trace, including
+    the ones a delayed-update squash discards and redoes.
     """
 
     def __init__(self, config: BranchPredictorConfig) -> None:
@@ -67,7 +73,8 @@ class BranchPredictorUnit:
         self.updates = 0
 
     def classify(self, inst: DynamicInstruction) -> BranchOutcome:
-        """Classify the lookup for branch *inst* (no training)."""
+        """Classify the lookup for branch *inst* (no training; a BTB
+        hit refreshes the entry's LRU recency)."""
         self.lookups += 1
         if inst.iclass in CONDITIONAL_BRANCH_CLASSES:
             predicted_taken = self.direction.lookup(inst.pc)
@@ -98,6 +105,7 @@ class BranchPredictorUnit:
             self.btb.update(inst.pc, inst.target)
 
     def record(self, inst: DynamicInstruction) -> BranchRecord:
-        """Classify *inst* into a :class:`BranchRecord` (lookup only)."""
+        """Classify *inst* into a :class:`BranchRecord` (a
+        :meth:`classify` lookup)."""
         return BranchRecord(seq=inst.seq, taken=inst.taken,
                             outcome=self.classify(inst))

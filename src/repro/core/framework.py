@@ -26,6 +26,7 @@ from repro.frontend.trace import Trace
 from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
 from repro.cpu.source import ColumnarSource, ExecutionDrivenSource
+from repro.cache.hierarchy import LocalityWalk
 from repro.power.wattch import (
     PowerBreakdown,
     WattchPowerModel,
@@ -69,22 +70,33 @@ def run_execution_driven(
     perfect_caches: bool = False,
     perfect_branch_prediction: bool = False,
     warmup_trace: Optional[Trace] = None,
+    locality: Optional[LocalityWalk] = None,
 ) -> Tuple[SimulationResult, PowerBreakdown]:
     """Reference simulation: the shared pipeline with live locality
     structures resolving the real dynamic trace.  *warmup_trace*, if
     given, functionally warms caches and predictor first (the paper
-    measures warm samples out of long executions)."""
-    from repro.frontend.warming import warm_locality_structures
+    measures warm samples out of long executions).  *locality* is the
+    window's precomputed :func:`~repro.frontend.warming.walk_window` on
+    *config*'s caches, warmed on the same *warmup_trace*; without it
+    the cache walk runs here."""
+    from repro.frontend.warming import (
+        shared_walk,
+        walk_window,
+        warm_locality_structures,
+    )
 
     with trace_span("simulate", bench=trace.name, mode="execution"):
-        hierarchy, predictor = warm_locality_structures(warmup_trace,
-                                                        config)
+        _, predictor = warm_locality_structures(warmup_trace, config,
+                                                caches=False)
+        if not perfect_caches:
+            locality = shared_walk(locality, trace, config) or walk_window(
+                trace, config, warmup_trace=warmup_trace)
         source = ExecutionDrivenSource(
             trace, config,
             perfect_caches=perfect_caches,
             perfect_branch_prediction=perfect_branch_prediction,
-            hierarchy=hierarchy,
             predictor=predictor,
+            locality=locality,
         )
         result = simulate(config, source)
         power = WattchPowerModel(config).energy_per_cycle(result)

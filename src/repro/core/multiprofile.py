@@ -4,8 +4,8 @@ The paper (section 2.1.2) notes that needing microarchitecture-
 dependent cache characteristics "does not limit applicability" because
 single-pass multiple-configuration tools exist (citing the cheetah
 simulator).  This module provides that capability for design-space
-sweeps over cache capacity: one pass over the dynamic trace feeds one
-cache hierarchy per scale while the microarchitecture-independent
+sweeps over cache capacity: one locality walk per scale resolves the
+window's cache events while the microarchitecture-independent
 characteristics and branch characteristics (which do not depend on the
 caches) are measured once and shared — producing one complete
 :class:`~repro.core.profiler.StatisticalProfile` per cache scale.
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig
 from repro.frontend.trace import Trace
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.hierarchy import EVENT_L1, EVENT_L2, EVENT_TLB
 from repro.core.profiler import (
     BRANCH_MODES,
     StatisticalProfile,
@@ -42,10 +42,13 @@ def profile_trace_multi_cache(
 
     Returns one profile per scale in *cache_scales* (1.0 = the given
     config's caches).  Branch characteristics are measured once against
-    *config*'s predictor; each scale gets its own cache hierarchy and
-    its own per-context locality annotations.
+    *config*'s predictor; each scale gets its own locality walk and its
+    own per-context locality annotations.
     """
-    from repro.frontend.warming import warm_locality_structures
+    from repro.frontend.warming import (
+        walk_window,
+        warm_locality_structures,
+    )
 
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -58,12 +61,11 @@ def profile_trace_multi_cache(
 
     configs = {scale: config.with_cache_scale(scale)
                for scale in cache_scales}
-    hierarchies: Dict[float, CacheHierarchy] = {}
-    for scale, scaled_config in configs.items():
-        hierarchy, _ = warm_locality_structures(warmup_trace,
-                                                scaled_config)
-        hierarchies[scale] = hierarchy
-    _, warm_unit = warm_locality_structures(warmup_trace, config)
+    walks = {scale: walk_window(trace, scaled_config,
+                                warmup_trace=warmup_trace)
+             for scale, scaled_config in configs.items()}
+    _, warm_unit = warm_locality_structures(warmup_trace, config,
+                                            caches=False)
     branch_records = _branch_records(trace, config, branch_mode,
                                      unit=warm_unit)
 
@@ -71,26 +73,12 @@ def profile_trace_multi_cache(
     history: List[int] = [START_BLOCK] * order
     last_writer: Dict[int, int] = {}
     last_reader: Dict[int, int] = {}
-    block_insts: list = []
-    # Per scale: buffered per-slot cache events of the current block.
-    block_events: Dict[float, list] = {scale: [] for scale in cache_scales}
+    block_start = 0
 
-    for inst in trace.instructions:
-        for scale, hierarchy in hierarchies.items():
-            iresult = hierarchy.access_instruction(inst.pc)
-            dl1 = l2d = dtlb = False
-            if inst.mem_addr is not None:
-                dresult = hierarchy.access_data(inst.mem_addr,
-                                                is_store=inst.is_store)
-                if inst.is_load:
-                    dl1, l2d, dtlb = (dresult.dl1_miss, dresult.l2_miss,
-                                      dresult.dtlb_miss)
-            block_events[scale].append(
-                (iresult.il1_miss, iresult.l2_miss, iresult.itlb_miss,
-                 dl1, l2d, dtlb))
-        block_insts.append(inst)
+    for index, inst in enumerate(trace.instructions):
         if not inst.is_branch:
             continue
+        block_insts = trace.instructions[block_start:index + 1]
 
         block = inst.bb_id
         iclasses = [i.iclass for i in block_insts]
@@ -123,14 +111,17 @@ def profile_trace_multi_cache(
             stats.occurrences += 1
             sfg.total_block_executions += 1
             sfg.record_transition(history, block)
-            for slot, events in enumerate(block_events[scale]):
-                il1, l2i, itlb, dl1, l2d, dtlb = events
-                stats.il1[slot] += il1
-                stats.l2i[slot] += l2i
-                stats.itlb[slot] += itlb
-                stats.dl1[slot] += dl1
-                stats.l2d[slot] += l2d
-                stats.dtlb[slot] += dtlb
+            walk = walks[scale]
+            for slot, binst in enumerate(block_insts):
+                icode = walk.icodes[block_start + slot]
+                stats.il1[slot] += bool(icode & EVENT_L1)
+                stats.l2i[slot] += bool(icode & EVENT_L2)
+                stats.itlb[slot] += bool(icode & EVENT_TLB)
+                if binst.is_load:
+                    dcode = walk.dcodes[block_start + slot]
+                    stats.dl1[slot] += bool(dcode & EVENT_L1)
+                    stats.l2d[slot] += bool(dcode & EVENT_L2)
+                    stats.dtlb[slot] += bool(dcode & EVENT_TLB)
             for slot, operand, distance in dependencies:
                 if operand in ("waw", "war"):
                     stats.record_anti_dependency(slot, operand, distance)
@@ -143,8 +134,7 @@ def profile_trace_multi_cache(
         if order > 0:
             history.append(block)
             del history[0]
-        block_insts = []
-        block_events = {scale: [] for scale in cache_scales}
+        block_start = index + 1
 
     return {
         scale: StatisticalProfile(

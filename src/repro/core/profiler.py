@@ -4,10 +4,11 @@ One pass over a dynamic trace builds the :class:`StatisticalProfile`:
 
 * microarchitecture-independent: the order-k SFG with instruction types,
   operand counts and per-operand dependency-distance distributions;
-* microarchitecture-dependent: the six cache miss events (measured with
-  a live :class:`~repro.cache.hierarchy.CacheHierarchy`) and the branch
-  characteristics (measured with the immediate- or delayed-update branch
-  profilers of :mod:`repro.branch.profiler`), annotated per context.
+* microarchitecture-dependent: the six cache miss events (read from a
+  :class:`~repro.cache.hierarchy.LocalityWalk` of the warm window) and
+  the branch characteristics (measured with the immediate- or
+  delayed-update branch profilers of :mod:`repro.branch.profiler`),
+  annotated per context.
 
 ``branch_mode="delayed"`` uses the paper's FIFO profiling algorithm with
 the FIFO sized to the instruction fetch queue (section 2.1.3);
@@ -28,7 +29,12 @@ from repro.branch.profiler import (
     profile_branches_immediate,
 )
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit, BranchRecord
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.hierarchy import (
+    EVENT_L1,
+    EVENT_L2,
+    EVENT_TLB,
+    LocalityWalk,
+)
 from repro.core.sfg import (
     MAX_DEPENDENCY_DISTANCE,
     START_BLOCK,
@@ -90,13 +96,18 @@ def _branch_records(trace: Trace, config: MachineConfig,
 def profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                   branch_mode: str = "delayed",
                   perfect_caches: bool = False,
-                  warmup_trace: Optional[Trace] = None
+                  warmup_trace: Optional[Trace] = None,
+                  locality: Optional[LocalityWalk] = None
                   ) -> StatisticalProfile:
     """Build the statistical profile of *trace* (paper section 2.1).
 
     *warmup_trace* functionally warms the cache hierarchy and branch
     predictor before characteristics are recorded, so the profile
     describes the warm measurement window the paper's samples represent.
+    *locality* is the window's precomputed
+    :func:`~repro.frontend.warming.walk_window` on *config*'s caches
+    (warmed on the same *warmup_trace*); without it the profiler walks
+    the window itself.
     """
     from repro.obs.tracing import trace_span
 
@@ -104,15 +115,21 @@ def profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         return _profile_trace(trace, config, order=order,
                               branch_mode=branch_mode,
                               perfect_caches=perfect_caches,
-                              warmup_trace=warmup_trace)
+                              warmup_trace=warmup_trace,
+                              locality=locality)
 
 
 def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
                    branch_mode: str = "delayed",
                    perfect_caches: bool = False,
-                   warmup_trace: Optional[Trace] = None
+                   warmup_trace: Optional[Trace] = None,
+                   locality: Optional[LocalityWalk] = None
                    ) -> StatisticalProfile:
-    from repro.frontend.warming import warm_locality_structures
+    from repro.frontend.warming import (
+        shared_walk,
+        walk_window,
+        warm_locality_structures,
+    )
 
     if order < 0:
         raise ProfileError("order must be >= 0")
@@ -122,13 +139,17 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         )
 
     sfg = StatisticalFlowGraph(order)
-    warm_hierarchy, warm_unit = warm_locality_structures(warmup_trace,
-                                                         config)
+    _, warm_unit = warm_locality_structures(warmup_trace, config,
+                                            caches=False)
     branch_records = _branch_records(trace, config, branch_mode,
                                      unit=warm_unit)
-    hierarchy: Optional[CacheHierarchy] = (
-        None if perfect_caches else warm_hierarchy
-    )
+    instructions = trace.instructions
+    if perfect_caches:
+        icodes = dcodes = bytes(len(instructions))
+    else:
+        locality = shared_walk(locality, trace, config) or walk_window(
+            trace, config, warmup_trace=warmup_trace)
+        icodes, dcodes = locality.icodes, locality.dcodes
 
     history: List[int] = [START_BLOCK] * order
     history_key = tuple(history)
@@ -154,26 +175,17 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
     # instructions, and the (sparse) slots that saw locality events.
     block_insts: list = []
     block_append = block_insts.append
-    block_events: list = []  # (slot, il1, l2i, itlb, dl1, l2d, dtlb)
+    block_events: list = []  # (slot, fetch code, load code)
     events_append = block_events.append
 
-    for inst in trace.instructions:
-        if hierarchy is not None:
-            iresult = hierarchy.access_instruction(inst.pc)
-            il1 = iresult.il1_miss
-            l2i = iresult.l2_miss
-            itlb = iresult.itlb_miss
-            dl1 = dl2 = dtlb = False
-            if inst.mem_addr is not None:
-                dresult = hierarchy.access_data(inst.mem_addr,
-                                                is_store=inst.is_store)
-                if inst.is_load:
-                    dl1 = dresult.dl1_miss
-                    dl2 = dresult.l2_miss
-                    dtlb = dresult.dtlb_miss
-            if il1 or l2i or itlb or dl1 or dl2 or dtlb:
-                events_append((len(block_insts), il1, l2i, itlb,
-                               dl1, dl2, dtlb))
+    for inst, icode, dcode in zip(instructions, icodes, dcodes):
+        if icode or dcode:
+            # Stores walk the data side too, but the profile annotates
+            # loads only.
+            if not inst.is_load:
+                dcode = 0
+            if icode or dcode:
+                events_append((len(block_insts), icode, dcode))
         block_append(inst)
 
         if not inst.is_branch:
@@ -215,14 +227,19 @@ def _profile_trace(trace: Trace, config: MachineConfig, order: int = 1,
         counts[block] = counts.get(block, 0) + 1
 
         if block_events:
-            for slot, e_il1, e_l2i, e_itlb, e_dl1, e_l2d, e_dtlb \
-                    in block_events:
-                stats.il1[slot] += e_il1
-                stats.l2i[slot] += e_l2i
-                stats.itlb[slot] += e_itlb
-                stats.dl1[slot] += e_dl1
-                stats.l2d[slot] += e_l2d
-                stats.dtlb[slot] += e_dtlb
+            for slot, icode, dcode in block_events:
+                if icode & EVENT_L1:
+                    stats.il1[slot] += 1
+                if icode & EVENT_L2:
+                    stats.l2i[slot] += 1
+                if icode & EVENT_TLB:
+                    stats.itlb[slot] += 1
+                if dcode & EVENT_L1:
+                    stats.dl1[slot] += 1
+                if dcode & EVENT_L2:
+                    stats.l2d[slot] += 1
+                if dcode & EVENT_TLB:
+                    stats.dtlb[slot] += 1
             block_events.clear()
 
         for slot, binst in enumerate(block_insts):

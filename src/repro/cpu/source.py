@@ -29,7 +29,14 @@ from repro.config import MachineConfig
 from repro.isa.iclass import IClass, execution_latency, functional_unit
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchOutcome, BranchPredictorUnit
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.hierarchy import (
+    EVENT_L1,
+    EVENT_L2,
+    EVENT_TLB,
+    CacheHierarchy,
+    LocalityWalk,
+    event_latency_tables,
+)
 
 #: Dependency distances beyond this horizon cannot constrain any
 #: realistic instruction window; the paper caps the dependency-distance
@@ -143,58 +150,78 @@ def _filler_slot(iclass: IClass) -> FetchSlot:
     return slot
 
 
+#: Event code -> (L1 miss, L2 miss, TLB miss) flags of a FetchSlot.
+_EVENT_FLAGS = tuple((bool(code & EVENT_L1), bool(code & EVENT_L2),
+                      bool(code & EVENT_TLB)) for code in range(8))
+
+
 class ExecutionDrivenSource:
     """Resolves a dynamic trace with live locality structures.
 
     Per fetched instruction it:
 
-    * runs the I-cache/I-TLB access and converts misses to fetch stalls;
-    * runs loads and stores through the D-cache hierarchy (loads get the
-      resulting latency);
-    * classifies branches against the live predictor *without* training
-      it — training happens at dispatch via :meth:`on_dispatch`, giving
-      the dispatch-time speculative update the paper assumes;
+    * reads the fetch's and the data access's locality event codes from
+      the window's :class:`~repro.cache.hierarchy.LocalityWalk` and maps
+      them to a fetch stall and (for loads) a load latency through two
+      8-entry tables built from the hierarchy's latency rules;
+    * classifies branches against the live predictor — a lookup that
+      does not train it (a BTB hit does refresh that entry's LRU
+      recency) — training happens at dispatch via :meth:`on_dispatch`,
+      giving the dispatch-time speculative update the paper assumes;
     * computes the RAW dependency distance of every source operand (the
       same definition the statistical profiler uses).
+
+    Cache events do not depend on pipeline timing: the pipeline fetches
+    the real instructions exactly once, in program order (wrong-path
+    fillers never touch locality state), so walking the whole window up
+    front gives the events a per-fetch access would.  Pass the window's
+    *locality* walk when it was computed already; otherwise the source
+    walks *hierarchy* (warm or not) over the trace on construction.
     """
 
     def __init__(self, trace: Trace, config: MachineConfig,
                  perfect_caches: bool = False,
                  perfect_branch_prediction: bool = False,
                  hierarchy: Optional[CacheHierarchy] = None,
-                 predictor: Optional[BranchPredictorUnit] = None) -> None:
+                 predictor: Optional[BranchPredictorUnit] = None,
+                 locality: Optional[LocalityWalk] = None) -> None:
         self.trace = trace
         self.config = config
         self.perfect_caches = perfect_caches
         self.perfect_branch_prediction = perfect_branch_prediction
-        # Callers may inject pre-warmed locality structures (e.g. the
-        # SimPoint baseline warms them on the instructions preceding a
-        # representative interval).
-        self.hierarchy = hierarchy or CacheHierarchy(config)
         self.predictor = predictor or BranchPredictorUnit(config.predictor)
         self._instructions = trace.instructions
         self._pos = 0
         self._last_writer: dict = {}
         self._last_reader: dict = {}
+        if perfect_caches:
+            # Every access hits: code 0, no stall, DL1 hit latency.
+            self._icodes = self._dcodes = bytes(len(self._instructions))
+        else:
+            if locality is None:
+                # Callers may inject pre-warmed locality structures
+                # (e.g. the SimPoint baseline warms them on the
+                # instructions preceding a representative interval).
+                from repro.frontend.warming import walk_window
+
+                locality = walk_window(trace, config, hierarchy=hierarchy)
+            else:
+                locality.check(len(self._instructions), config)
+            self._icodes, self._dcodes = locality.icodes, locality.dcodes
+        self._stall, self._load_latency = event_latency_tables(config)
 
     def __len__(self) -> int:
         return len(self._instructions)
 
     def fetch(self) -> Optional[FetchSlot]:
         instructions = self._instructions
-        if self._pos >= len(instructions):
+        pos = self._pos
+        if pos >= len(instructions):
             return None
-        inst = instructions[self._pos]
-        self._pos += 1
-
-        fetch_stall = 0
-        il1_miss = l2i_miss = itlb_miss = False
-        if not self.perfect_caches:
-            iresult = self.hierarchy.access_instruction(inst.pc)
-            fetch_stall = self.hierarchy.fetch_stall(iresult)
-            il1_miss = iresult.il1_miss
-            l2i_miss = iresult.l2_miss
-            itlb_miss = iresult.itlb_miss
+        inst = instructions[pos]
+        self._pos = pos + 1
+        icode = self._icodes[pos]
+        il1_miss, l2i_miss, itlb_miss = _EVENT_FLAGS[icode]
 
         dep_distances = []
         last_writer = self._last_writer
@@ -222,18 +249,14 @@ class ExecutionDrivenSource:
                             dep_distances.append(distance)
             last_writer[inst.dst_reg] = seq
 
-        latency = execution_latency(inst.iclass)
         dl1_miss = l2d_miss = dtlb_miss = False
-        if inst.mem_addr is not None and not self.perfect_caches:
-            dresult = self.hierarchy.access_data(inst.mem_addr,
-                                                 is_store=inst.is_store)
-            if inst.is_load:
-                latency = self.hierarchy.load_latency(dresult)
-                dl1_miss = dresult.dl1_miss
-                l2d_miss = dresult.l2_miss
-                dtlb_miss = dresult.dtlb_miss
-        elif inst.is_load and self.perfect_caches:
-            latency = self.config.dl1.hit_latency
+        if inst.is_load and (inst.mem_addr is not None
+                             or self.perfect_caches):
+            dcode = self._dcodes[pos]
+            latency = self._load_latency[dcode]
+            dl1_miss, l2d_miss, dtlb_miss = _EVENT_FLAGS[dcode]
+        else:
+            latency = execution_latency(inst.iclass)
 
         taken = False
         outcome: Optional[BranchOutcome] = None
@@ -247,7 +270,7 @@ class ExecutionDrivenSource:
         return FetchSlot(
             iclass=inst.iclass,
             exec_latency=latency,
-            fetch_stall=fetch_stall,
+            fetch_stall=self._stall[icode],
             dep_distances=tuple(dep_distances),
             taken=taken,
             outcome=outcome,

@@ -43,7 +43,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
         eds, _ = run_execution_driven(trace, config, warmup_trace=warm)
         profiled = {}
         for size in fifo_sizes:
-            _, unit = warm_locality_structures(warm, config)
+            _, unit = warm_locality_structures(warm, config, caches=False)
             records = profile_branches_delayed(trace, unit,
                                                fifo_size=size)
             profiled[size] = mispredictions_per_kilo_instruction(

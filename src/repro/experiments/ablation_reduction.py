@@ -23,6 +23,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.core.reduction import reduce_flow_graph
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -42,9 +43,12 @@ def run(benchmark: str = "parser",
     """One row per reduction factor for one benchmark."""
     config = suite_config()
     warm, trace = prepare_benchmark(benchmark, scale)
-    reference, _ = run_execution_driven(trace, config, warmup_trace=warm)
+    locality = walk_window(trace, config, warmup_trace=warm)
+    reference, _ = run_execution_driven(trace, config, warmup_trace=warm,
+                                        locality=locality)
     profile = profile_trace(trace, config, order=1,
-                            branch_mode="delayed", warmup_trace=warm)
+                            branch_mode="delayed", warmup_trace=warm,
+                            locality=locality)
     total_mass = profile.sfg.total_block_executions
     rows = []
     for factor in factors:

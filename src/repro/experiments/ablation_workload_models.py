@@ -29,6 +29,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.core.synthetic import ColumnarTrace
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -47,8 +48,10 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
     config = suite_config()
     rows = []
     for name, (warm, trace) in prepare_suite(scale).items():
+        locality = walk_window(trace, config, warmup_trace=warm)
         reference, _ = run_execution_driven(trace, config,
-                                            warmup_trace=warm)
+                                            warmup_trace=warm,
+                                            locality=locality)
         length = int(len(trace) / scale.reduction_factor)
         errors: Dict[str, float] = {}
 
@@ -77,7 +80,8 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
         for order, key in ((0, "sfg_k0"), (1, "sfg_k1")):
             sfg_profile = profile_trace(trace, config, order=order,
                                         branch_mode="delayed",
-                                        warmup_trace=warm)
+                                        warmup_trace=warm,
+                                        locality=locality)
             record(key, [
                 run_statistical_simulation(
                     trace, config, profile=sfg_profile,

@@ -28,6 +28,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentScale,
@@ -46,12 +47,18 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
                        decode_width=4, issue_width=4, commit_width=4)
     rows = []
     for name, (warm, trace) in prepare_suite(scale).items():
+        # Both machines share the baseline caches: one walk serves the
+        # two references and the profile.
+        locality = walk_window(trace, base, warmup_trace=warm)
         ooo_reference, _ = run_execution_driven(trace, base,
-                                                warmup_trace=warm)
+                                                warmup_trace=warm,
+                                                locality=locality)
         reference, _ = run_execution_driven(trace, in_order,
-                                            warmup_trace=warm)
+                                            warmup_trace=warm,
+                                            locality=locality)
         profile = profile_trace(trace, in_order, order=1,
-                                branch_mode="delayed", warmup_trace=warm)
+                                branch_mode="delayed", warmup_trace=warm,
+                                locality=locality)
         estimates = {}
         for key, include in (("raw_only", False), ("with_anti", True)):
             ipcs = [

@@ -36,9 +36,9 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
     for name, (warm, trace) in prepare_suite(scale).items():
         eds, _ = run_execution_driven(trace, config, warmup_trace=warm)
 
-        _, unit = warm_locality_structures(warm, config)
+        _, unit = warm_locality_structures(warm, config, caches=False)
         immediate = profile_branches_immediate(trace, unit)
-        _, unit = warm_locality_structures(warm, config)
+        _, unit = warm_locality_structures(warm, config, caches=False)
         delayed = profile_branches_delayed(trace, unit,
                                            fifo_size=config.ifq_size)
         n = len(trace)

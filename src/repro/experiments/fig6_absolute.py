@@ -16,6 +16,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.power.wattch import energy_delay_product
 from repro.runner import TaskRunner
 from repro.experiments.common import (
@@ -33,10 +34,15 @@ from repro.experiments.common import (
 def _measure_benchmark(name: str, scale: ExperimentScale) -> Dict:
     config = suite_config()
     warm, trace = prepare_benchmark(name, scale)
+    # One cache walk of the window serves both the reference simulator
+    # and the profiler.
+    locality = walk_window(trace, config, warmup_trace=warm)
     reference, ref_power = run_execution_driven(trace, config,
-                                                warmup_trace=warm)
+                                                warmup_trace=warm,
+                                                locality=locality)
     profile = profile_trace(trace, config, order=1,
-                            branch_mode="delayed", warmup_trace=warm)
+                            branch_mode="delayed", warmup_trace=warm,
+                            locality=locality)
     reports = [
         run_statistical_simulation(
             trace, config, profile=profile,

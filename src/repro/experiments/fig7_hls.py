@@ -19,6 +19,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.core.synthetic import ColumnarTrace
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -34,8 +35,12 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
     config = simplescalar_default_config()
     rows = []
     for name, (warm, trace) in prepare_suite(scale).items():
+        # The warm window's walk serves the reference and SMART-HLS;
+        # HLS measures its miss rates on its own cold walk.
+        locality = walk_window(trace, config, warmup_trace=warm)
         reference, _ = run_execution_driven(trace, config,
-                                            warmup_trace=warm)
+                                            warmup_trace=warm,
+                                            locality=locality)
         synthetic_length = int(len(trace) / scale.reduction_factor)
 
         profile = hls_profile(trace, config)
@@ -49,7 +54,8 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
 
         smart_profile = profile_trace(trace, config, order=1,
                                       branch_mode="delayed",
-                                      warmup_trace=warm)
+                                      warmup_trace=warm,
+                                      locality=locality)
         smart_ipcs = [
             run_statistical_simulation(
                 trace, config, profile=smart_profile,

@@ -22,6 +22,7 @@ from repro.core.framework import (
 )
 from repro.core.metrics import absolute_error
 from repro.core.profiler import profile_trace
+from repro.frontend.warming import walk_window
 from repro.frontend.trace import Trace, split_intervals
 from repro.experiments.common import (
     DEFAULT_SCALE,
@@ -65,10 +66,13 @@ def run(scale: ExperimentScale = DEFAULT_SCALE) -> List[Dict]:
     config = suite_config()
     rows = []
     for name, (warm, trace) in prepare_suite(scale).items():
+        locality = walk_window(trace, config, warmup_trace=warm)
         reference, _ = run_execution_driven(trace, config,
-                                            warmup_trace=warm)
+                                            warmup_trace=warm,
+                                            locality=locality)
         profile = profile_trace(trace, config, order=1,
-                                branch_mode="delayed", warmup_trace=warm)
+                                branch_mode="delayed", warmup_trace=warm,
+                                locality=locality)
         whole_ipcs = [
             run_statistical_simulation(
                 trace, config, profile=profile,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache.hierarchy import LocalityWalk, cache_geometry
 from repro.config import MachineConfig
 from repro.core.framework import (
     run_execution_driven,
@@ -28,6 +29,7 @@ from repro.core.framework import (
 from repro.core.metrics import relative_error
 from repro.core.profiler import StatisticalProfile, profile_trace
 from repro.cpu.results import SimulationResult
+from repro.frontend.warming import walk_window
 from repro.power.wattch import PowerBreakdown
 from repro.runner import ResultRows, TaskRunner, WorkUnit
 from repro.experiments.common import (
@@ -108,14 +110,18 @@ def _sweep_definitions(points: Optional[Dict[str, Sequence]] = None):
 
 
 def _measure(trace, warm, config: MachineConfig, scale: ExperimentScale,
-             profile: Optional[StatisticalProfile]
+             profile: Optional[StatisticalProfile],
+             locality: LocalityWalk
              ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """EDS and SS metric dicts for one (benchmark, design point)."""
-    result, power = run_execution_driven(trace, config, warmup_trace=warm)
+    """EDS and SS metric dicts for one (benchmark, design point);
+    *locality* is the window's walk on *config*'s caches."""
+    result, power = run_execution_driven(trace, config, warmup_trace=warm,
+                                         locality=locality)
     eds = collect_metrics(result, power)
     if profile is None:
         profile = profile_trace(trace, config, order=1,
-                                branch_mode="delayed", warmup_trace=warm)
+                                branch_mode="delayed", warmup_trace=warm,
+                                locality=locality)
     ss_samples = []
     for seed in scale.seeds:
         report = run_statistical_simulation(
@@ -134,15 +140,26 @@ def _measure_sweep_benchmark(name: str, sweep: str,
     checkpointing, hence plain JSON lists)."""
     sweep_points, builder, label, reprofile, metrics = definitions[sweep]
     warm, trace = prepare_benchmark(name, scale)
+    # Only the cache sweep changes the geometry: every other sweep walks
+    # the window once for all its points.
+    walks: Dict[tuple, LocalityWalk] = {}
+
+    def walk_for(config: MachineConfig) -> LocalityWalk:
+        geometry = cache_geometry(config)
+        if geometry not in walks:
+            walks[geometry] = walk_window(trace, config, warmup_trace=warm)
+        return walks[geometry]
+
     base_profile = None
     if not reprofile:
         base_config = builder(sweep_points[0])
         base_profile = profile_trace(trace, base_config, order=1,
                                      branch_mode="delayed",
-                                     warmup_trace=warm)
-    return [list(_measure(trace, warm, builder(point), scale,
-                          base_profile))
-            for point in sweep_points]
+                                     warmup_trace=warm,
+                                     locality=walk_for(base_config))
+    return [list(_measure(trace, warm, config, scale, base_profile,
+                          walk_for(config)))
+            for config in map(builder, sweep_points)]
 
 
 def run(scale: ExperimentScale = DEFAULT_SCALE,

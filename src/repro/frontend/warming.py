@@ -6,7 +6,9 @@ caches and predictors are warm when measurement starts.  This module
 provides that methodology: replay a warmup trace through a cache
 hierarchy and branch predictor — functionally, no pipeline — and hand
 the warmed structures to profiling, execution-driven simulation or
-SimPoint.
+SimPoint.  :func:`walk_window` resolves a whole measurement window's
+cache and TLB events in one walk, so profiling and execution-driven
+simulation of the same window share them instead of walking twice.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Tuple
 from repro.config import MachineConfig
 from repro.frontend.trace import Trace
 from repro.branch.unit import BranchPredictorUnit
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy, LocalityWalk, cache_geometry
 
 
 def warm_locality_structures(
@@ -24,34 +26,69 @@ def warm_locality_structures(
     config: MachineConfig,
     hierarchy: Optional[CacheHierarchy] = None,
     predictor: Optional[BranchPredictorUnit] = None,
-) -> Tuple[CacheHierarchy, BranchPredictorUnit]:
+    caches: bool = True,
+) -> Tuple[Optional[CacheHierarchy], BranchPredictorUnit]:
     """Build (or take) a hierarchy and predictor and functionally warm
     them on *warmup_trace* (a no-op when it is None).
 
     Warming statistics are reset afterwards so callers measure only the
-    post-warmup window.
+    post-warmup window.  ``caches=False`` warms the predictor alone and
+    returns ``None`` for the hierarchy: for callers that resolve the
+    window's locality through a :class:`LocalityWalk` instead.
     """
-    hierarchy = hierarchy or CacheHierarchy(config)
+    if caches:
+        hierarchy = hierarchy or CacheHierarchy(config)
+    else:
+        hierarchy = None
     predictor = predictor or BranchPredictorUnit(config.predictor)
     if warmup_trace is not None:
-        for inst in warmup_trace.instructions:
-            hierarchy.access_instruction(inst.pc)
-            if inst.mem_addr is not None:
-                hierarchy.access_data(inst.mem_addr, is_store=inst.is_store)
+        instructions = warmup_trace.instructions
+        if hierarchy is not None:
+            hierarchy.walk(instructions)
+            hierarchy.reset_statistics()
+        train = predictor.train
+        for inst in instructions:
             if inst.is_branch:
-                predictor.train(inst)
-        hierarchy.il1.reset_statistics()
-        hierarchy.dl1.reset_statistics()
-        hierarchy.l2.reset_statistics()
-        hierarchy.itlb.reset_statistics()
-        hierarchy.dtlb.reset_statistics()
-        hierarchy.l2_instruction_accesses = 0
-        hierarchy.l2_instruction_misses = 0
-        hierarchy.l2_data_accesses = 0
-        hierarchy.l2_data_misses = 0
+                train(inst)
         predictor.lookups = 0
         predictor.updates = 0
     return hierarchy, predictor
+
+
+def walk_window(trace: Trace, config: MachineConfig,
+                warmup_trace: Optional[Trace] = None,
+                hierarchy: Optional[CacheHierarchy] = None
+                ) -> LocalityWalk:
+    """The locality events of *trace* on *config*'s caches, warmed on
+    *warmup_trace* first (or on whatever *hierarchy* already holds).
+
+    Events depend only on the window and the cache geometry, so a
+    caller that both profiles and simulates one window computes this
+    once and hands it to :func:`repro.core.profiler.profile_trace` and
+    :func:`repro.core.framework.run_execution_driven` (``locality=``).
+    """
+    from repro.obs.tracing import trace_span
+
+    with trace_span("locality", bench=trace.name,
+                    instructions=len(trace)):
+        hierarchy = hierarchy or CacheHierarchy(config)
+        if warmup_trace is not None:
+            hierarchy.walk(warmup_trace.instructions)
+            hierarchy.reset_statistics()
+        icodes, dcodes = hierarchy.walk(trace.instructions)
+    return LocalityWalk(icodes, dcodes, cache_geometry(config))
+
+
+def shared_walk(locality: Optional[LocalityWalk], trace: Trace,
+                config: MachineConfig) -> Optional[LocalityWalk]:
+    """Validate a caller-supplied walk of *trace* and count the
+    hand-off (``locality.shared``); ``None`` passes through."""
+    if locality is not None:
+        from repro.obs.metrics import get_registry
+
+        locality.check(len(trace), config)
+        get_registry().counter("locality.shared").inc()
+    return locality
 
 
 def run_program_with_warmup(program, warmup: int,

@@ -95,3 +95,40 @@ class TestUnitBookkeeping:
         for _ in range(8):
             unit.train(_branch(taken=False))
         assert unit.btb.lookup(0x1000) is None
+
+
+class TestLookupSideEffects:
+    """``classify`` trains nothing, but a BTB hit refreshes the entry's
+    LRU recency; execution-driven and profiled branch numbers depend on
+    this, so it is pinned rather than left implicit."""
+
+    #: Five indirect branches in one BTB set (16 sets of 4 ways; the set
+    #: index is ``(pc >> 3) % 16``).
+    PCS = [0x1000 + way * 16 * 8 for way in range(5)]
+
+    def _fill_set(self, unit):
+        for pc in self.PCS[:4]:
+            unit.train(_branch(pc=pc, iclass=IClass.INDIRECT_BRANCH,
+                               target=pc + 4))
+
+    def _outcome(self, unit, pc):
+        return unit.classify(_branch(pc=pc, iclass=IClass.INDIRECT_BRANCH,
+                                     target=pc + 4))
+
+    def test_without_lookup_oldest_entry_is_evicted(self, unit):
+        self._fill_set(unit)
+        unit.train(_branch(pc=self.PCS[4], iclass=IClass.INDIRECT_BRANCH,
+                           target=self.PCS[4] + 4))
+        assert self._outcome(unit, self.PCS[0]) is \
+            BranchOutcome.MISPREDICTION
+
+    def test_lookup_hit_refreshes_recency(self, unit):
+        self._fill_set(unit)
+        assert self._outcome(unit, self.PCS[0]) is BranchOutcome.CORRECT
+        unit.train(_branch(pc=self.PCS[4], iclass=IClass.INDIRECT_BRANCH,
+                           target=self.PCS[4] + 4))
+        # The looked-up entry survived; the next-oldest was evicted.
+        assert self._outcome(unit, self.PCS[0]) is BranchOutcome.CORRECT
+        assert self._outcome(unit, self.PCS[1]) is \
+            BranchOutcome.MISPREDICTION
+        assert unit.updates == 5
