@@ -3,10 +3,11 @@
 ``test_determinism_golden.py`` pins the synthetic path; this file pins
 the reference simulator: cycles, IPC, pipeline activity, branch
 statistics, Wattch EPC and the per-event locality counts the pipeline
-saw, for one small gzip window on three machines (the baseline, a
-cache-scaled baseline and perfect caches).  Any rewrite of the cache
-walk, the execution-driven source or the warm-up must reproduce these
-numbers exactly.
+saw, for one small gzip window on five machines: the baseline, a
+cache-scaled baseline, perfect caches, in-order issue and perfect
+branch prediction.  Any rewrite of the cache walk, the
+execution-driven source, the cycle loop or the warm-up must reproduce
+these numbers exactly.
 
 Regenerate (only when an *intentional* behaviour change is shipped)
 with::
@@ -44,12 +45,16 @@ EVENTS = ("il1_miss", "l2i_miss", "itlb_miss",
 
 
 def _cases():
+    """Case name -> (config, perfect caches, perfect branch
+    prediction)."""
     config = baseline_config()
     return {
-        "baseline": (config, False),
+        "baseline": (config, False, False),
         "cache_scaled": (replace(config.with_cache_scale(CACHE_SCALE),
-                                 dtlb=SCALED_DTLB), False),
-        "perfect_caches": (config, True),
+                                 dtlb=SCALED_DTLB), False, False),
+        "perfect_caches": (config, True, False),
+        "in_order": (replace(config, in_order_issue=True), False, False),
+        "perfect_branch_prediction": (config, False, True),
     }
 
 
@@ -78,10 +83,12 @@ def _event_counts(trace, warm, config, perfect_caches):
     return counts
 
 
-def _case_payload(trace, warm, config, perfect_caches):
-    result, power = run_execution_driven(trace, config,
-                                         perfect_caches=perfect_caches,
-                                         warmup_trace=warm)
+def _case_payload(trace, warm, config, perfect_caches,
+                  perfect_branch_prediction):
+    result, power = run_execution_driven(
+        trace, config, perfect_caches=perfect_caches,
+        perfect_branch_prediction=perfect_branch_prediction,
+        warmup_trace=warm)
     return {
         "cycles": result.cycles,
         "instructions": result.instructions,
@@ -109,8 +116,8 @@ def _payload():
         "warmup": WARMUP,
         "reference": REFERENCE,
         "cache_scale": CACHE_SCALE,
-        "cases": {name: _case_payload(trace, warm, config, perfect)
-                  for name, (config, perfect) in _cases().items()},
+        "cases": {name: _case_payload(trace, warm, *case)
+                  for name, case in _cases().items()},
     }
 
 
@@ -131,12 +138,17 @@ def test_execution_driven_matches_golden(current, case):
 
 
 def test_golden_cases_differ(current):
-    """The three machines must stress different paths: a golden whose
-    cases coincide would not catch a walk that ignores the geometry."""
+    """The machines must stress different paths: a golden whose cases
+    coincide would not catch a walk that ignores the geometry, an issue
+    stage that ignores in-order issue or a fetch stage that ignores the
+    predictor."""
     cases = current["cases"]
-    assert cases["baseline"]["cycles"] != cases["cache_scaled"]["cycles"]
-    assert cases["baseline"]["cycles"] != \
-        cases["perfect_caches"]["cycles"]
+    for name in ("cache_scaled", "perfect_caches", "in_order",
+                 "perfect_branch_prediction"):
+        assert cases["baseline"]["cycles"] != cases[name]["cycles"], name
+    assert cases["baseline"]["branch_mispredictions"] > 0
+    assert cases["perfect_branch_prediction"]["branch_mispredictions"] == 0
+    assert cases["perfect_branch_prediction"]["fetch_redirections"] == 0
     assert cases["perfect_caches"]["events"]["il1_miss"] == 0
     assert all(cases["cache_scaled"]["events"][event] > 0
                for event in ("il1_miss", "dl1_miss", "l2d_miss",
