@@ -19,7 +19,7 @@ produce byte-identical traces to the legacy one, seed for seed.
 
 Schema 2 adds the **vector** phase: end-to-end synthesize+simulate
 with the vector generator's batch draws (:mod:`repro.core.columnar`)
-into the columnar loop, against the same frozen object path the other
+into the one cycle loop, against the same frozen object path the other
 phases use as "before" (the legacy generator's instructions replayed
 by the reference pipeline), plus a synthesis-only measurement against
 the legacy generator.  The columnar generator draws from a different —
@@ -197,7 +197,7 @@ def run_hotpath_bench(
 
     # ---- phase 3: superscalar simulation ------------------------------
     # After: the shipped synthetic path (ColumnarSource into the
-    # columnar loop); before: the frozen reference loop replaying the
+    # one cycle loop); before: the frozen reference loop replaying the
     # same instructions as fetch slots.
     synthetic = generate_synthetic_trace(profile, low_r, seed=0)
     slots = synthetic.to_synthetic_trace().to_fetch_slots(config)
@@ -234,7 +234,7 @@ def run_hotpath_bench(
     # ---- phase 4: columnar batch execution (schema 2) -----------------
     # End-to-end synthesize+simulate: the frozen object path (legacy
     # generator, reference pipeline on fetch slots) vs the columnar
-    # batch kernels into the columnar loop.  Not a before/after of the
+    # batch kernels into the one cycle loop.  Not a before/after of the
     # same draws — the columnar generator uses a different
     # (statistically equivalent) RNG stream — so the phase also records
     # the scalar and vector IPC for an agreement check.

@@ -5,11 +5,17 @@ synthetic-trace simulation; ``run_execution_driven`` runs the reference
 simulator on the same trace.  Both return power along with performance,
 so callers compute the paper's metrics (IPC, EPC, EDP) directly.
 
-Columns are the one synthetic-trace format: the scalar and the vector
-generator both return a :class:`~repro.core.synthetic.ColumnarTrace`,
-differing only in their draw stream, and ``simulate_synthetic_trace``
-resolves it through :class:`~repro.cpu.source.ColumnarSource` into the
-pipeline's columnar loop.  No per-instruction object exists on that
+Both run on the pipeline's one cycle loop.  Columns are the one
+synthetic-trace format: the scalar and the vector generator both return
+a :class:`~repro.core.synthetic.ColumnarTrace`, differing only in their
+draw stream, and ``simulate_synthetic_trace`` resolves it through
+:class:`~repro.cpu.source.ColumnarSource`.  ``run_execution_driven``
+resolves the real trace through
+:class:`~repro.cpu.source.ExecutionDrivenSource` into the same row
+columns once per window (locality events, latencies, dependencies),
+leaving only branch outcomes live.  That column resolution runs inside
+the ``simulate`` span but before the :func:`~repro.cpu.pipeline.simulate`
+call.  No per-instruction object is built inside the loop on either
 path; :class:`~repro.cpu.source.PreannotatedSource` remains the replay
 source of the reference pipeline and the tests.
 """

@@ -82,7 +82,7 @@ def evaluate_metrics(profile, config: MachineConfig, seed: int,
     them are numerically identical by construction.
 
     Both modes hand the pipeline the same columnar trace format and
-    simulate it on the same columnar loop.  *vector* synthesizes with
+    simulate it on the pipeline's one cycle loop.  *vector* synthesizes with
     the columnar batch kernels — a statistically equivalent but
     different draw sequence, so vector and scalar metrics are cached
     under distinct keys (see :func:`repro.dse.cache.result_key`).

@@ -6,7 +6,7 @@ One fuzz *case* is evaluated in layers:
    the frozen reference pipeline; any divergence (fields or retirement
    schedule) is a failure (:mod:`repro.fuzz.oracle`).  The case's
    synthesized trace is diffed the same way through the production
-   synthetic path (columns into the columnar loop) against the
+   synthetic path (columns into the one cycle loop) against the
    reference, on the case's machine shape;
 2. **acceptance** — the paper's profile → reduce → synthesize loop runs
    on the same trace, and the synthetic statistics must converge to the

@@ -7,9 +7,12 @@ diffs the results field-for-field: cycles, IPC, per-stage occupancies,
 activity counters, branch/squash accounting, and the full retirement
 schedule (``(cycle, pseq)`` commit logs).  The two implementations are
 required to be *bit-identical*; any divergence is a bug in one of them.
-:func:`diff_program` covers execution-driven runs; :func:`diff_synthetic`
-covers the production synthetic path (a columnar trace through
-:class:`~repro.cpu.source.ColumnarSource`).
+:func:`diff_program` covers execution-driven runs
+(:class:`~repro.cpu.source.ExecutionDrivenSource` rows with live
+branches), :func:`diff_synthetic` the production synthetic path (a
+columnar trace through :class:`~repro.cpu.source.ColumnarSource`) and
+:func:`diff_slots` pre-annotated slot lists; all three drive the
+optimized pipeline's one cycle loop.
 
 The ``pipeline-skew`` chaos site lets tests and CI canaries prove the
 oracle actually fires: when the active :class:`~repro.faults.ChaosPlan`
@@ -197,9 +200,9 @@ def diff_synthetic(trace, config: MachineConfig) -> DifferentialReport:
 
     *trace* is a :class:`~repro.core.synthetic.ColumnarTrace`: the
     optimized side simulates it exactly as ``simulate_synthetic_trace``
-    does (:class:`ColumnarSource` into the columnar loop, or the
-    generic loop for in-order issue), the reference replays the same
-    instructions as ``to_fetch_slots`` output.
+    does (:class:`ColumnarSource` into the one cycle loop, on every
+    machine shape), the reference replays the same instructions as
+    ``to_fetch_slots`` output.
     """
     slots = trace.to_synthetic_trace().to_fetch_slots(config)
     return diff_sources(
@@ -211,7 +214,9 @@ def diff_synthetic(trace, config: MachineConfig) -> DifferentialReport:
 
 def diff_slots(slots: Sequence[FetchSlot], config: MachineConfig,
                chaos=None, token: str = "") -> DifferentialReport:
-    """Differential check over a pre-annotated (synthetic) slot list."""
+    """Differential check over a pre-annotated (synthetic) slot list:
+    the reference replays the slots, the one cycle loop reads them as
+    :class:`PreannotatedSource` rows."""
     slots = list(slots)
     return diff_sources(
         config,

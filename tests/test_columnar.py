@@ -1,4 +1,4 @@
-"""Columnar batch synthesis and the pipeline's vectorized fast path.
+"""Columnar batch synthesis and the pipeline's columnar source.
 
 Three contracts, mirroring the three layers of the columnar subsystem:
 
@@ -9,11 +9,12 @@ Three contracts, mirroring the three layers of the columnar subsystem:
    the same acceptance tolerances as the scalar draws;
 2. **cycle exactness** — given the *same* trace,
    :class:`~repro.cpu.source.ColumnarSource` through the pipeline's
-   vectorized loop produces a byte-identical
+   one cycle loop produces a byte-identical
    :class:`~repro.cpu.results.SimulationResult` (every field, the full
-   activity dict) to :class:`~repro.cpu.source.PreannotatedSource`
-   through the generic loop — the fast path changes representation,
-   never semantics;
+   activity dict) and commit log to the frozen generic ``FetchSlot``
+   loop (:class:`~repro.cpu.reference.ReferencePipeline`) replaying the
+   trace's fetch slots — columns change representation, never
+   semantics;
 3. **end-to-end agreement** — seed-averaged IPC through the vector
    path tracks the scalar path on the Table 1 machine within the noise
    of the two (statistically equivalent, draw-independent) streams.
@@ -36,6 +37,7 @@ from repro.core.columnar import (
 from repro.core.profiler import profile_trace
 from repro.core.synthesis import generate_synthetic_trace
 from repro.cpu.pipeline import SuperscalarPipeline, simulate
+from repro.cpu.reference import ReferencePipeline
 from repro.cpu.source import ColumnarSource, PreannotatedSource
 from repro.fuzz.acceptance import ToleranceConfig, acceptance_report
 
@@ -145,7 +147,7 @@ class TestColumnarTablesCache:
 
 
 # ---------------------------------------------------------------------
-# layer 2: the pipeline fast path
+# layer 2: columns through the one cycle loop
 # ---------------------------------------------------------------------
 
 
@@ -170,7 +172,8 @@ class TestColumnarSourceCycleExact:
     def test_identical_to_generic_loop(self, profile, config, seed):
         columnar = generate_columnar_trace(profile, 3.0, seed=seed)
         slots = columnar.to_synthetic_trace().to_fetch_slots(config)
-        generic = simulate(config, PreannotatedSource(slots))
+        generic = ReferencePipeline(config,
+                                    PreannotatedSource(slots)).run()
         fast = simulate(config, ColumnarSource(columnar, config))
         assert _result_fields(fast) == _result_fields(generic)
 
@@ -178,24 +181,28 @@ class TestColumnarSourceCycleExact:
         columnar = generate_columnar_trace(profile, 4.0, seed=9)
         slots = columnar.to_synthetic_trace().to_fetch_slots(config)
         log_generic, log_fast = [], []
-        SuperscalarPipeline(config, PreannotatedSource(slots)).run(
+        ReferencePipeline(config, PreannotatedSource(slots)).run(
             commit_log=log_generic)
         SuperscalarPipeline(
             config, ColumnarSource(columnar, config)).run(
             commit_log=log_fast)
         assert log_fast == log_generic
 
-    def test_in_order_falls_back_to_generic_loop(self, profile):
-        """The vectorized loop only handles out-of-order issue;
-        ColumnarSource must still work through the generic loop via its
-        protocol methods when in_order_issue is set."""
+    def test_in_order_identical_to_generic_loop(self, profile):
+        """In-order issue runs on the same one loop, straight from the
+        columns."""
         config = dataclasses.replace(baseline_config(),
                                      in_order_issue=True)
         columnar = generate_columnar_trace(profile, 4.0, seed=2)
         slots = columnar.to_synthetic_trace().to_fetch_slots(config)
-        generic = simulate(config, PreannotatedSource(slots))
-        fallback = simulate(config, ColumnarSource(columnar, config))
-        assert _result_fields(fallback) == _result_fields(generic)
+        log_generic, log_fast = [], []
+        generic = ReferencePipeline(config, PreannotatedSource(slots)).run(
+            commit_log=log_generic)
+        fast = SuperscalarPipeline(
+            config, ColumnarSource(columnar, config)).run(
+            commit_log=log_fast)
+        assert _result_fields(fast) == _result_fields(generic)
+        assert log_fast == log_generic
 
 
 # ---------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestSyntheticPath:
         synthetic, config = _synthesized(_small_case())
         assert diff_synthetic(synthetic, config).identical
 
-    def test_diff_synthetic_covers_in_order_fallback(self):
+    def test_diff_synthetic_covers_in_order_issue(self):
         synthetic, config = _synthesized(_small_case())
         in_order = replace(config, in_order_issue=True)
         assert diff_synthetic(synthetic, in_order).identical

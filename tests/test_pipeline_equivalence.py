@@ -1,13 +1,15 @@
 """Exact-equivalence guard for the event-driven pipeline.
 
-The optimized :class:`repro.cpu.pipeline.SuperscalarPipeline` (idle-cycle
-fast-forward, pooled ``_Inflight`` records, ring-buffer RUU/IFQ) must
-produce a *field-for-field identical* :class:`SimulationResult` to the
-frozen cycle-by-cycle loop in :mod:`repro.cpu.reference` — same cycle
-count, same occupancy averages, same activity counts — for every
-configuration and source type.  That includes the production synthetic
-path, :class:`~repro.cpu.source.ColumnarSource` through the columnar
-loop, which carries every synthetic trace.  Any intentional behaviour
+The optimized :class:`repro.cpu.pipeline.SuperscalarPipeline` (one
+cycle loop over prebuilt row columns, idle-cycle fast-forward, pooled
+``_Inflight`` records, ring-buffer RUU/IFQ) must produce a
+*field-for-field identical* :class:`SimulationResult` and commit log to
+the frozen cycle-by-cycle ``FetchSlot`` loop in :mod:`repro.cpu.reference`
+— same cycle count, same occupancy averages, same activity counts, same
+retirement schedule — for every configuration and source type: the
+production synthetic path (:class:`~repro.cpu.source.ColumnarSource`),
+the execution-driven reference (whose live predictor must also end in
+the same state) and replayed slot lists.  Any intentional behaviour
 change must update both implementations together.
 """
 
@@ -85,10 +87,10 @@ def synthetic_trace(request):
 
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_synthetic_source_identical(synthetic_trace, variant):
-    """The reference replaying fetch slots against both optimized
-    paths: the generic loop on the same slots, and the production path
-    (ColumnarSource into the columnar loop; in-order issue takes its
-    generic-loop fallback) — full result and commit log."""
+    """The reference replaying fetch slots against the one loop fed
+    two ways: the same slots as PreannotatedSource rows, and the
+    production path (ColumnarSource, on every variant including
+    in-order issue) — full result and commit log."""
     _profile, columns = synthetic_trace
     config = _config(variant)
     slots = columns.to_synthetic_trace().to_fetch_slots(config)
@@ -103,14 +105,60 @@ def test_synthetic_source_identical(synthetic_trace, variant):
         assert log == ref_log, type(source).__name__
 
 
+def _predictor_state(predictor):
+    """Everything a run can leave behind in a branch predictor unit:
+    the hybrid's meta, bimodal and two-level tables (PHT counters and
+    local histories), the BTB's per-set entries in LRU order (most
+    recently used last), the RAS and the lookup/update counts."""
+    direction = predictor.direction
+    local = direction.component_b
+    return {
+        "meta": list(direction._meta),
+        "bimodal": list(direction.component_a._table),
+        "local_histories": list(local._histories),
+        "local_pht": list(local._pht),
+        "btb": [list(ways) for ways in predictor.btb._sets],
+        "ras": (list(predictor.ras._stack), predictor.ras._top,
+                predictor.ras._count),
+        "lookups": predictor.lookups,
+        "updates": predictor.updates,
+    }
+
+
+#: Execution-driven modes every variant runs in: live caches and
+#: predictor, perfect caches, perfect branch prediction.
+EDS_MODES = {
+    "live": {},
+    "perfect_caches": {"perfect_caches": True},
+    "perfect_branch_prediction": {"perfect_branch_prediction": True},
+}
+
+
 @pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_execution_driven_source_identical(small_trace, variant):
+    """The one loop on ExecutionDrivenSource rows (live branches
+    classified at fetch, trained at dispatch) against the reference
+    driving the same source's FetchSlot protocol, in every mode:
+    result, commit log and the predictor's final state."""
     config = _config(variant)
-    new = SuperscalarPipeline(
-        config, ExecutionDrivenSource(small_trace, config)).run()
-    old = ReferencePipeline(
-        config, ExecutionDrivenSource(small_trace, config)).run()
-    _assert_identical(new, old)
+    for mode, flags in EDS_MODES.items():
+        new_source = ExecutionDrivenSource(small_trace, config, **flags)
+        old_source = ExecutionDrivenSource(small_trace, config, **flags)
+        new_log, old_log = [], []
+        new = SuperscalarPipeline(config, new_source).run(
+            commit_log=new_log)
+        old = ReferencePipeline(config, old_source).run(
+            commit_log=old_log)
+        _assert_identical(new, old)
+        assert new_log == old_log, mode
+        assert _predictor_state(new_source.predictor) == \
+            _predictor_state(old_source.predictor), mode
+        if mode == "live":
+            assert new.branch_mispredictions > 0
+            assert new_source.predictor.updates == new.branches
+        else:
+            assert (new_source.predictor.lookups == 0) == \
+                (mode == "perfect_branch_prediction")
 
 
 def _branch(outcome=BranchOutcome.CORRECT, taken=False):
@@ -144,13 +192,16 @@ def _hand_built_streams():
 @pytest.mark.parametrize(
     "name,slots", list(_hand_built_streams()),
     ids=[name for name, _ in _hand_built_streams()])
-@pytest.mark.parametrize("variant",
-                         ["baseline", "in_order", "tiny_window"])
+@pytest.mark.parametrize("variant", sorted(CONFIG_VARIANTS))
 def test_hand_built_streams_identical(name, slots, variant):
     config = _config(variant)
-    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run()
-    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run()
+    new_log, old_log = [], []
+    new = SuperscalarPipeline(config, PreannotatedSource(list(slots))).run(
+        commit_log=new_log)
+    old = ReferencePipeline(config, PreannotatedSource(list(slots))).run(
+        commit_log=old_log)
     _assert_identical(new, old)
+    assert new_log == old_log
 
 
 def test_max_cycles_guard_matches():
