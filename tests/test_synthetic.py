@@ -26,8 +26,7 @@ def _resolved(instructions, config):
     return {
         "to_fetch_slots": [(slot.exec_latency, slot.fetch_stall)
                            for slot in slots],
-        "ColumnarSource": [(row[0], stall) for row, stall
-                           in zip(source.rows, source.stall)],
+        "ColumnarSource": [(row[0], row[7]) for row in source.rows],
     }
 
 
